@@ -39,7 +39,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/report.hh"
 #include "sim/assert.hh"
 #include "sim/event_queue.hh"
 #include "sim/time.hh"
@@ -47,6 +46,9 @@
 namespace {
 
 using cdna::sim::Time;
+
+/** Version of BENCH_sim_speed.json's own layout (not the report's). */
+constexpr int kSimSpeedSchemaVersion = 1;
 
 /**
  * The event queue this PR replaced, kept as the benchmark baseline:
@@ -349,8 +351,7 @@ main(int argc, char **argv)
         return 1;
     }
     f << "{\n";
-    f << "  \"schema_version\": " << cdna::core::kReportSchemaVersion
-      << ",\n";
+    f << "  \"schema_version\": " << kSimSpeedSchemaVersion << ",\n";
     f << "  \"benchmark\": \"sim_speed\",\n";
     f << "  \"events_per_run\": " << events << ",\n";
     f << "  \"workloads\": [\n";

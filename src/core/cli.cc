@@ -1,5 +1,6 @@
 #include "core/cli.hh"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -7,18 +8,20 @@
 
 namespace cdna::core {
 
-namespace {
-
 bool
 parseU32(const std::string &s, std::uint32_t *out)
 {
-    char *end = nullptr;
-    unsigned long v = std::strtoul(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0')
+    // from_chars takes no sign or whitespace and reports overflow.
+    std::uint32_t v = 0;
+    const char *end = s.data() + s.size();
+    auto [stop, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc{} || stop != end)
         return false;
-    *out = static_cast<std::uint32_t>(v);
+    *out = v;
     return true;
 }
+
+namespace {
 
 bool
 parseF(const std::string &s, double *out)

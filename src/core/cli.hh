@@ -70,6 +70,13 @@ std::optional<CliOptions> parseCli(const std::vector<std::string> &args,
                                    std::string *error);
 
 /**
+ * Parse a decimal count: digits only (no sign, whitespace or trailing
+ * characters) and at most UINT32_MAX.  Every count flag of `cdna_sim`
+ * and `cdna_sweep` goes through it.  @return false on anything else.
+ */
+bool parseU32(const std::string &s, std::uint32_t *out);
+
+/**
  * RAII wrapper around a run's observability outputs.
  *
  * Construction enables tracing and gauge sampling on @p sys per the

@@ -93,110 +93,140 @@ Report::fairness() const
     return hi > 0 ? lo / hi : 1.0;
 }
 
+// Table-row shorthands: a double metric, an integer counter (exact in
+// a double far past any window's count), and a per-guest array.
+#define CDNA_REAL(key, expr)                                              \
+    {key, "%.4f", [](const Report &r) { return r.expr; }}
+#define CDNA_COUNT(key, field)                                            \
+    {key, "%.0f",                                                         \
+     [](const Report &r) { return static_cast<double>(r.field); }}
+#define CDNA_LIST(key, field, fmt)                                        \
+    {key, fmt, nullptr,                                                   \
+     [](const Report &r) -> const std::vector<double> & {                 \
+         return r.field;                                                  \
+     }}
+
+const std::vector<ReportColumn> &
+reportColumns()
+{
+    static const std::vector<ReportColumn> columns = {
+        CDNA_REAL("mbps", mbps),
+        CDNA_REAL("hyp_pct", hypPct),
+        CDNA_REAL("drv_os_pct", drvOsPct),
+        CDNA_REAL("drv_user_pct", drvUserPct),
+        CDNA_REAL("guest_os_pct", guestOsPct),
+        CDNA_REAL("guest_user_pct", guestUserPct),
+        CDNA_REAL("idle_pct", idlePct),
+        CDNA_REAL("drv_intr_per_sec", drvIntrPerSec),
+        CDNA_REAL("guest_intr_per_sec", guestIntrPerSec),
+        CDNA_REAL("phys_irq_per_sec", physIrqPerSec),
+        CDNA_REAL("hypercall_per_sec", hypercallPerSec),
+        CDNA_REAL("domain_switch_per_sec", domainSwitchPerSec),
+        CDNA_REAL("latency_mean_us", latencyMeanUs),
+        CDNA_REAL("latency_p50_us", latencyP50Us),
+        CDNA_REAL("latency_p99_us", latencyP99Us),
+        CDNA_REAL("fairness", fairness()),
+        CDNA_REAL("wire_mbps", wireMbps),
+        CDNA_REAL("rpc_lat_mean_us", rpcLatMeanUs),
+        CDNA_REAL("rpc_lat_p50_us", rpcLatP50Us),
+        CDNA_REAL("rpc_lat_p99_us", rpcLatP99Us),
+        CDNA_REAL("rpc_lat_p999_us", rpcLatP999Us),
+        CDNA_REAL("rpc_offered_rps", rpcOfferedRps),
+        CDNA_REAL("rpc_achieved_rps", rpcAchievedRps),
+        CDNA_REAL("swpt_validation_us", swptValidationUs),
+        CDNA_COUNT("protection_faults", protectionFaults),
+        CDNA_COUNT("dma_violations", dmaViolations),
+        CDNA_COUNT("rx_drops_no_desc", rxDropsNoDesc),
+        CDNA_COUNT("rx_drops_no_buf", rxDropsNoBuf),
+        CDNA_COUNT("rx_drops_filter", rxDropsFilter),
+        CDNA_COUNT("frames_dropped", faultFramesDropped),
+        CDNA_COUNT("frames_corrupted", faultFramesCorrupted),
+        CDNA_COUNT("frames_duplicated", faultFramesDuplicated),
+        CDNA_COUNT("dma_delays", faultDmaDelays),
+        CDNA_COUNT("firmware_stalls", firmwareStalls),
+        CDNA_COUNT("guest_kills", guestKills),
+        CDNA_COUNT("mailbox_timeouts", mailboxTimeouts),
+        CDNA_COUNT("ring_resyncs", ringResyncs),
+        CDNA_COUNT("rx_drops_bad_csum", rxDropsBadCsum),
+        CDNA_COUNT("tx_backlog_peak", txBacklogPeak),
+        CDNA_COUNT("tx_backlog_now", txBacklogNow),
+        CDNA_COUNT("tcp_retrans_segs", tcpRetransSegs),
+        CDNA_COUNT("tcp_fast_retransmits", tcpFastRetransmits),
+        CDNA_COUNT("tcp_rto_events", tcpRtoEvents),
+        CDNA_COUNT("tcp_dup_acks", tcpDupAcks),
+        CDNA_COUNT("driver_domain_kills", driverDomainKills),
+        CDNA_COUNT("firmware_reboots", firmwareReboots),
+        CDNA_COUNT("fe_reconnects", feReconnects),
+        CDNA_COUNT("grants_revoked", grantsRevoked),
+        CDNA_COUNT("pages_quarantined", pagesQuarantined),
+        CDNA_COUNT("quarantine_released", quarantineReleased),
+        CDNA_COUNT("mailbox_throttled", mailboxThrottled),
+        CDNA_COUNT("outage_packets_lost", outagePacketsLost),
+        CDNA_COUNT("cxt_page_traps", cxtPageTraps),
+        CDNA_COUNT("cxt_evictions", cxtEvictions),
+        CDNA_COUNT("cxt_page_ins", cxtPageIns),
+        CDNA_COUNT("cxt_resident_peak", cxtResidentPeak),
+        CDNA_COUNT("switch_drops", switchDrops),
+        CDNA_COUNT("switch_drop_bytes", switchDropBytes),
+        CDNA_COUNT("switch_queue_peak_bytes", switchQueuePeakBytes),
+        CDNA_COUNT("rpc_requests", rpcRequests),
+        CDNA_COUNT("rpc_responses", rpcResponses),
+        CDNA_COUNT("rpc_timeouts", rpcTimeouts),
+        CDNA_COUNT("flows_started", flowsStarted),
+        CDNA_COUNT("flows_completed", flowsCompleted),
+        CDNA_COUNT("swpt_doorbell_traps", swptDoorbellTraps),
+        CDNA_COUNT("swpt_desc_validated", swptDescValidated),
+        CDNA_COUNT("swpt_desc_rejected", swptDescRejected),
+        CDNA_LIST("per_guest_mbps", perGuestMbps, "%.2f"),
+        CDNA_LIST("per_guest_downtime_us", perGuestDowntimeUs, "%.1f"),
+        CDNA_LIST("per_guest_ttfp_us", perGuestTtfpUs, "%.1f"),
+    };
+    return columns;
+}
+
+#undef CDNA_REAL
+#undef CDNA_COUNT
+#undef CDNA_LIST
+
+const ReportColumn *
+findReportColumn(const std::string &key)
+{
+    for (const ReportColumn &c : reportColumns())
+        if (key == c.key)
+            return &c;
+    return nullptr;
+}
+
 std::string
 reportToJson(const Report &r)
 {
     char buf[512];
-    std::string out = "{\n";
-    auto add = [&](const char *key, double value, bool last = false) {
-        std::snprintf(buf, sizeof(buf), "  \"%s\": %.4f%s\n", key, value,
-                      last ? "" : ",");
-        out += buf;
-    };
-    auto addU = [&](const char *key, std::uint64_t value) {
-        std::snprintf(buf, sizeof(buf), "  \"%s\": %llu,\n", key,
-                      static_cast<unsigned long long>(value));
-        out += buf;
-    };
-    std::snprintf(buf, sizeof(buf), "  \"schema_version\": %d,\n",
-                  kReportSchemaVersion);
-    out += buf;
-    std::snprintf(buf, sizeof(buf), "  \"label\": \"%s\",\n",
-                  r.label.c_str());
-    out += buf;
-    add("mbps", r.mbps);
-    add("hyp_pct", r.hypPct);
-    add("drv_os_pct", r.drvOsPct);
-    add("drv_user_pct", r.drvUserPct);
-    add("guest_os_pct", r.guestOsPct);
-    add("guest_user_pct", r.guestUserPct);
-    add("idle_pct", r.idlePct);
-    add("drv_intr_per_sec", r.drvIntrPerSec);
-    add("guest_intr_per_sec", r.guestIntrPerSec);
-    add("phys_irq_per_sec", r.physIrqPerSec);
-    add("hypercall_per_sec", r.hypercallPerSec);
-    add("domain_switch_per_sec", r.domainSwitchPerSec);
-    add("latency_mean_us", r.latencyMeanUs);
-    add("latency_p50_us", r.latencyP50Us);
-    add("latency_p99_us", r.latencyP99Us);
-    add("fairness", r.fairness());
-    add("wire_mbps", r.wireMbps);
-    add("rpc_lat_mean_us", r.rpcLatMeanUs);
-    add("rpc_lat_p50_us", r.rpcLatP50Us);
-    add("rpc_lat_p99_us", r.rpcLatP99Us);
-    add("rpc_lat_p999_us", r.rpcLatP999Us);
-    add("rpc_offered_rps", r.rpcOfferedRps);
-    add("rpc_achieved_rps", r.rpcAchievedRps);
-    add("swpt_validation_us", r.swptValidationUs);
-    addU("protection_faults", r.protectionFaults);
-    addU("dma_violations", r.dmaViolations);
-    addU("rx_drops_no_desc", r.rxDropsNoDesc);
-    addU("rx_drops_no_buf", r.rxDropsNoBuf);
-    addU("rx_drops_filter", r.rxDropsFilter);
-    addU("frames_dropped", r.faultFramesDropped);
-    addU("frames_corrupted", r.faultFramesCorrupted);
-    addU("frames_duplicated", r.faultFramesDuplicated);
-    addU("dma_delays", r.faultDmaDelays);
-    addU("firmware_stalls", r.firmwareStalls);
-    addU("guest_kills", r.guestKills);
-    addU("mailbox_timeouts", r.mailboxTimeouts);
-    addU("ring_resyncs", r.ringResyncs);
-    addU("rx_drops_bad_csum", r.rxDropsBadCsum);
-    addU("tx_backlog_peak", r.txBacklogPeak);
-    addU("tx_backlog_now", r.txBacklogNow);
-    addU("tcp_retrans_segs", r.tcpRetransSegs);
-    addU("tcp_fast_retransmits", r.tcpFastRetransmits);
-    addU("tcp_rto_events", r.tcpRtoEvents);
-    addU("tcp_dup_acks", r.tcpDupAcks);
-    addU("driver_domain_kills", r.driverDomainKills);
-    addU("firmware_reboots", r.firmwareReboots);
-    addU("fe_reconnects", r.feReconnects);
-    addU("grants_revoked", r.grantsRevoked);
-    addU("pages_quarantined", r.pagesQuarantined);
-    addU("quarantine_released", r.quarantineReleased);
-    addU("mailbox_throttled", r.mailboxThrottled);
-    addU("outage_packets_lost", r.outagePacketsLost);
-    addU("cxt_page_traps", r.cxtPageTraps);
-    addU("cxt_evictions", r.cxtEvictions);
-    addU("cxt_page_ins", r.cxtPageIns);
-    addU("cxt_resident_peak", r.cxtResidentPeak);
-    addU("switch_drops", r.switchDrops);
-    addU("switch_drop_bytes", r.switchDropBytes);
-    addU("switch_queue_peak_bytes", r.switchQueuePeakBytes);
-    addU("rpc_requests", r.rpcRequests);
-    addU("rpc_responses", r.rpcResponses);
-    addU("rpc_timeouts", r.rpcTimeouts);
-    addU("flows_started", r.flowsStarted);
-    addU("flows_completed", r.flowsCompleted);
-    addU("swpt_doorbell_traps", r.swptDoorbellTraps);
-    addU("swpt_desc_validated", r.swptDescValidated);
-    addU("swpt_desc_rejected", r.swptDescRejected);
-    auto addArr = [&](const char *key, const std::vector<double> &v,
-                      const char *fmt, bool last = false) {
+    std::snprintf(buf, sizeof(buf),
+                  "{\n  \"schema_version\": %d,\n  \"label\": \"%s\",\n",
+                  kReportSchemaVersion, r.label.c_str());
+    std::string out = buf;
+    const std::vector<ReportColumn> &columns = reportColumns();
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+        const ReportColumn &c = columns[i];
         out += "  \"";
-        out += key;
-        out += "\": [";
-        for (std::size_t i = 0; i < v.size(); ++i) {
-            if (i)
-                out += ", ";
-            std::snprintf(buf, sizeof(buf), fmt, v[i]);
+        out += c.key;
+        out += "\": ";
+        if (c.get) {
+            std::snprintf(buf, sizeof(buf), c.format, c.get(r));
             out += buf;
+        } else {
+            const std::vector<double> &values = c.list(r);
+            out += '[';
+            for (std::size_t k = 0; k < values.size(); ++k) {
+                if (k)
+                    out += ", ";
+                std::snprintf(buf, sizeof(buf), c.format, values[k]);
+                out += buf;
+            }
+            out += ']';
         }
-        out += last ? "]\n" : "],\n";
-    };
-    addArr("per_guest_mbps", r.perGuestMbps, "%.2f");
-    addArr("per_guest_downtime_us", r.perGuestDowntimeUs, "%.1f");
-    addArr("per_guest_ttfp_us", r.perGuestTtfpUs, "%.1f", /*last=*/true);
+        out += i + 1 < columns.size() ? ",\n" : "\n";
+    }
     out += "}\n";
     return out;
 }

@@ -225,29 +225,49 @@ struct Report
 };
 
 /**
- * Render a report as a JSON object.
+ * One report key: its JSON name, how one value is printed, and how to
+ * read it.  A column is either a scalar (get) or an array (list).
+ */
+struct ReportColumn
+{
+    const char *key;
+    /** printf conversion of one value; counters use "%.0f". */
+    const char *format;
+    double (*get)(const Report &) = nullptr;
+    const std::vector<double> &(*list)(const Report &) = nullptr;
+};
+
+/**
+ * Every report key after schema_version and label, in JSON order:
  *
- * Key-order contract (stable across runs, platforms, and thread
+ *   the double-valued metrics (mbps, the six profile percentages, the
+ *   five rate counters, the three latency quantiles, fairness,
+ *   wire_mbps, then the schema-6 RPC latency quantiles and
+ *   offered/achieved rates, then schema 7's swpt_validation_us), then
+ *   the integer counters (protection/drop counters, the
+ *   fault/recovery counters, then the checksum/backlog/TCP counters
+ *   added in schema 2, the outage counters added in schema 3, the
+ *   context-paging counters added in schema 4, the switch counters
+ *   added in schema 5, the RPC/flow counters added in schema 6, and
+ *   the swpt counters added in schema 7), then per_guest_mbps followed
+ *   by the schema-3 per_guest_downtime_us and per_guest_ttfp_us
+ *   arrays.  New keys are only ever appended at the end of their block
+ *   so older goldens remain a line-subset of newer reports.
+ */
+const std::vector<ReportColumn> &reportColumns();
+
+/** The column named @p key, or nullptr. */
+const ReportColumn *findReportColumn(const std::string &key);
+
+/**
+ * Render a report as a JSON object: schema_version, label, then
+ * reportColumns() in order.
+ *
+ * Key-order contract: stable across runs, platforms, and thread
  * counts; relied on by the sweep determinism tests, which compare
- * whole documents byte-for-byte):
- *
- *   schema_version, label, then the double-valued metrics (mbps, the
- *   six profile percentages, the five rate counters, the three latency
- *   quantiles, fairness, wire_mbps, then the schema-6 RPC latency
- *   quantiles and offered/achieved rates, then schema 7's
- *   swpt_validation_us), then the integer counters (protection/drop
- *   counters, the fault/recovery counters, then the
- *   checksum/backlog/TCP counters added in schema 2, then the outage
- *   counters added in schema 3, the context-paging counters added in
- *   schema 4, the switch counters added in schema 5, the RPC/flow
- *   counters added in schema 6, and the swpt counters added in schema
- *   7), then per_guest_mbps followed by the schema-3
- *   per_guest_downtime_us and per_guest_ttfp_us arrays.  New keys are
- *   only ever appended at the end of their block so older goldens
- *   remain a line-subset of newer reports.
- *
- * Doubles are printed with "%.4f", integers as decimal, arrays in
- * index order; no locale-dependent formatting is used anywhere.
+ * whole documents byte-for-byte.  Doubles are printed with "%.4f",
+ * integers as decimal, arrays in index order; no locale-dependent
+ * formatting is used anywhere.
  */
 std::string reportToJson(const Report &r);
 

@@ -84,65 +84,24 @@ ExperimentSpec::expand() const
 
 namespace {
 
-/** Execute one run point in complete isolation. */
-RunResult
-executeRun(const RunPoint &point, const ExperimentSpec::Setup &setup,
-           const ExperimentSpec::Probe &probe,
-           const ExperimentSpec::Runner &runner, const core::CliOptions *obs)
-{
-    RunResult result;
-    result.point = point;
-    if (runner) {
-        result.report = runner(point, result.extra);
-        result.json = core::reportToJson(result.report);
-        return result;
-    }
-    core::System sys(point.config);
-    if (setup)
-        setup(sys, point);
-    std::unique_ptr<core::ObservabilitySession> session;
-    if (obs)
-        session = std::make_unique<core::ObservabilitySession>(sys, *obs);
-    result.report = sys.run(point.warmup, point.measure);
-    if (session) {
-        std::string error;
-        if (!session->close(&error))
-            std::fprintf(stderr, "sweep: warning: %s\n", error.c_str());
-    }
-    if (probe)
-        probe(sys, point, result.extra);
-    result.json = core::reportToJson(result.report);
-    return result;
-}
-
 /** The per-run metrics every cell aggregates, in report key order. */
-const std::vector<std::pair<const char *, double (*)(const core::Report &)>> &
+const std::vector<const core::ReportColumn *> &
 cellMetricTable()
 {
-    using R = core::Report;
-    static const std::vector<std::pair<const char *, double (*)(const R &)>>
-        table = {
-            {"mbps", [](const R &r) { return r.mbps; }},
-            {"hyp_pct", [](const R &r) { return r.hypPct; }},
-            {"drv_os_pct", [](const R &r) { return r.drvOsPct; }},
-            {"drv_user_pct", [](const R &r) { return r.drvUserPct; }},
-            {"guest_os_pct", [](const R &r) { return r.guestOsPct; }},
-            {"guest_user_pct", [](const R &r) { return r.guestUserPct; }},
-            {"idle_pct", [](const R &r) { return r.idlePct; }},
-            {"drv_intr_per_sec",
-             [](const R &r) { return r.drvIntrPerSec; }},
-            {"guest_intr_per_sec",
-             [](const R &r) { return r.guestIntrPerSec; }},
-            {"phys_irq_per_sec", [](const R &r) { return r.physIrqPerSec; }},
-            {"hypercall_per_sec",
-             [](const R &r) { return r.hypercallPerSec; }},
-            {"domain_switch_per_sec",
-             [](const R &r) { return r.domainSwitchPerSec; }},
-            {"latency_mean_us", [](const R &r) { return r.latencyMeanUs; }},
-            {"latency_p50_us", [](const R &r) { return r.latencyP50Us; }},
-            {"latency_p99_us", [](const R &r) { return r.latencyP99Us; }},
-            {"fairness", [](const R &r) { return r.fairness(); }},
-        };
+    static const std::vector<const core::ReportColumn *> table = [] {
+        std::vector<const core::ReportColumn *> t;
+        for (const char *key :
+             {"mbps", "hyp_pct", "drv_os_pct", "drv_user_pct",
+              "guest_os_pct", "guest_user_pct", "idle_pct",
+              "drv_intr_per_sec", "guest_intr_per_sec", "phys_irq_per_sec",
+              "hypercall_per_sec", "domain_switch_per_sec",
+              "latency_mean_us", "latency_p50_us", "latency_p99_us",
+              "fairness"}) {
+            t.push_back(core::findReportColumn(key));
+            SIM_ASSERT(t.back(), "cell metric is not a report column");
+        }
+        return t;
+    }();
     return table;
 }
 
@@ -168,10 +127,10 @@ aggregate(const std::vector<RunResult> &runs)
         cs.runs = idx.size();
         cs.firstRun = idx.front();
         std::vector<double> xs(idx.size());
-        for (const auto &[name, get] : cellMetricTable()) {
+        for (const core::ReportColumn *column : cellMetricTable()) {
             for (std::size_t k = 0; k < idx.size(); ++k)
-                xs[k] = get(runs[idx[k]].report);
-            cs.metrics.emplace_back(name, MetricStats::of(xs));
+                xs[k] = column->get(runs[idx[k]].report);
+            cs.metrics.emplace_back(column->key, MetricStats::of(xs));
         }
         // Probe metrics: keyed off the first run (every run of a cell
         // shares the spec's probe, hence the same keys).
@@ -189,6 +148,35 @@ aggregate(const std::vector<RunResult> &runs)
 }
 
 } // namespace
+
+RunResult
+runPoint(const ExperimentSpec &spec, const RunPoint &point,
+         const core::CliOptions *obs)
+{
+    RunResult result;
+    result.point = point;
+    if (spec.runnerFn()) {
+        result.report = spec.runnerFn()(point, result.extra);
+        result.json = core::reportToJson(result.report);
+        return result;
+    }
+    core::System sys(point.config);
+    if (spec.setupFn())
+        spec.setupFn()(sys, point);
+    std::unique_ptr<core::ObservabilitySession> session;
+    if (obs)
+        session = std::make_unique<core::ObservabilitySession>(sys, *obs);
+    result.report = sys.run(point.warmup, point.measure);
+    if (session) {
+        std::string error;
+        if (!session->close(&error))
+            std::fprintf(stderr, "sweep: warning: %s\n", error.c_str());
+    }
+    if (spec.probeFn())
+        spec.probeFn()(sys, point, result.extra);
+    result.json = core::reportToJson(result.report);
+    return result;
+}
 
 SweepResult
 runSweep(const ExperimentSpec &spec, const SweepOptions &opt)
@@ -219,8 +207,7 @@ runSweep(const ExperimentSpec &spec, const SweepOptions &opt)
 
     parallelFor(jobs, points.size(), [&](std::size_t i) {
         const core::CliOptions *obs = i == obsIndex ? &opt.obs : nullptr;
-        RunResult r = executeRun(points[i], spec.setupFn(), spec.probeFn(),
-                                 spec.runnerFn(), obs);
+        RunResult r = runPoint(spec, points[i], obs);
         {
             std::lock_guard<std::mutex> lock(progressMu);
             result.runs[i] = std::move(r);

@@ -307,6 +307,13 @@ struct SweepResult
     std::vector<CellStats> cells;
 };
 
+/**
+ * Execute one run point of @p spec in complete isolation, with its
+ * setup, probe or custom runner; @p obs, when given, observes it.
+ */
+RunResult runPoint(const ExperimentSpec &spec, const RunPoint &point,
+                   const core::CliOptions *obs = nullptr);
+
 /** Expand @p spec and execute every run; see file header for contract. */
 SweepResult runSweep(const ExperimentSpec &spec, const SweepOptions &opt);
 

@@ -1,6 +1,7 @@
 #include "sim/sweep_presets.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 
 #include "net/eth_switch.hh"
@@ -553,40 +554,198 @@ swpt()
         });
 }
 
-const std::vector<std::pair<std::string, ExperimentSpec (*)()>> &
+namespace {
+
+/** The nine execution-profile columns of the paper's Tables 2-4. */
+constexpr std::array<const char *, 9> kProfile = {
+    "mbps",         "hyp_pct",          "drv_os_pct",
+    "drv_user_pct", "guest_os_pct",     "guest_user_pct",
+    "idle_pct",     "drv_intr_per_sec", "guest_intr_per_sec"};
+
+/** Paper rows for whole Tables 2-4 lines: one value per kProfile key. */
+std::vector<PaperRow>
+profileRows(
+    std::initializer_list<
+        std::pair<const char *, std::array<double, kProfile.size()>>>
+        lines)
+{
+    std::vector<PaperRow> rows;
+    for (const auto &[cell, values] : lines)
+        for (std::size_t i = 0; i < values.size(); ++i)
+            rows.push_back({cell, kProfile[i], values[i]});
+    return rows;
+}
+
+} // namespace
+
+const std::vector<Preset> &
 all()
 {
-    static const std::vector<std::pair<std::string, ExperimentSpec (*)()>>
-        presets = {
-            {"table1", table1},
-            {"table2", table2},
-            {"table3", table3},
-            {"table4", table4},
-            {"fig3", fig3},
-            {"fig4", fig4},
-            {"latency", latency},
-            {"coalesce", coalesce},
-            {"protection", protectionAblation},
-            {"contexts", contexts},
-            {"iommu", iommu},
-            {"flipcopy", flipcopy},
-            {"tcp-loss", tcpLoss},
-            {"availability", availability},
-            {"oversub", oversub},
-            {"incast", incast},
-            {"noisy-neighbor", noisyNeighbor},
-            {"swpt", swpt},
-        };
+    static const std::vector<Preset> presets = {
+        {.name = "table1",
+         .make = table1,
+         .columns = {"mbps"},
+         .paper = {{"native/tx", "mbps", 5126},
+                   {"native/rx", "mbps", 3629},
+                   {"xen/tx", "mbps", 1602},
+                   {"xen/rx", "mbps", 1112}}},
+        {.name = "table2",
+         .make = table2,
+         .columns = {kProfile.begin(), kProfile.end()},
+         .paper = profileRows(
+             {{"xen-intel",
+               {1602, 19.8, 35.7, 0.8, 39.7, 1.0, 3.0, 7438, 7853}},
+              {"xen-ricenic",
+               {1674, 13.7, 41.5, 0.5, 39.5, 1.0, 3.8, 8839, 5661}},
+              {"cdna",
+               {1867, 10.2, 0.3, 0.2, 37.8, 0.7, 50.8, 0, 13659}}})},
+        {.name = "table3",
+         .make = table3,
+         .columns = {kProfile.begin(), kProfile.end()},
+         .paper = profileRows(
+             {{"xen-intel/rx",
+               {1112, 25.7, 36.8, 0.5, 31.0, 1.0, 5.0, 11138, 5193}},
+              {"xen-ricenic/rx",
+               {1075, 30.6, 39.4, 0.6, 28.8, 0.6, 0.0, 10946, 5163}},
+              {"cdna/rx",
+               {1874, 9.9, 0.3, 0.2, 48.0, 0.7, 40.9, 0, 7402}}})},
+        {.name = "table4",
+         .make = table4,
+         .columns = {kProfile.begin(), kProfile.end()},
+         .paper = profileRows(
+             {{"cdna/tx/prot",
+               {1867, 10.2, 0.3, 0.2, 37.8, 0.7, 50.8, 0, 13659}},
+              {"cdna/tx/noprot",
+               {1867, 1.9, 0.2, 0.2, 37.0, 0.3, 60.4, 0, 13680}},
+              {"cdna/rx/prot",
+               {1874, 9.9, 0.3, 0.2, 48.0, 0.7, 40.9, 0, 7402}},
+              {"cdna/rx/noprot",
+               {1874, 1.9, 0.2, 0.2, 47.2, 0.3, 50.2, 0, 7243}}})},
+        // Figures 3-4 observe the smallest CDNA run: its trace stays
+        // readable and exercises every lane (CPU, hypervisor, NIC, DMA
+        // protection).
+        {.name = "fig3",
+         .make = fig3,
+         .columns = {"mbps", "idle_pct"},
+         .paper = {{"xen/g1", "mbps", 1602},
+                   {"xen/g24", "mbps", 891},
+                   {"cdna/g1", "mbps", 1867},
+                   {"cdna/g1", "idle_pct", 50.8},
+                   {"cdna/g2", "idle_pct", 25.4},
+                   {"cdna/g4", "idle_pct", 5.9},
+                   {"cdna/g8", "idle_pct", 0.0}},
+         .ratios = {{"xen/g1", "xen/g24", "mbps", 1602.0 / 891.0},
+                    {"cdna/g24", "xen/g24", "mbps", 2.1}},
+         .observe = "cdna/g1"},
+        {.name = "fig4",
+         .make = fig4,
+         .columns = {"mbps", "idle_pct"},
+         .paper = {{"xen/g1/rx", "mbps", 1112},
+                   {"xen/g24/rx", "mbps", 558},
+                   {"cdna/g1/rx", "mbps", 1874},
+                   {"cdna/g1/rx", "idle_pct", 40.9},
+                   {"cdna/g2/rx", "idle_pct", 29.1},
+                   {"cdna/g4/rx", "idle_pct", 12.6},
+                   {"cdna/g8/rx", "idle_pct", 0.0}},
+         .ratios = {{"xen/g1/rx", "xen/g24/rx", "mbps", 1112.0 / 558.0},
+                    {"cdna/g24/rx", "xen/g24/rx", "mbps", 3.3}},
+         .observe = "cdna/g1/rx"},
+        {.name = "latency",
+         .make = latency,
+         .columns = {"rpc_offered_rps", "rpc_achieved_rps",
+                     "rpc_lat_p50_us", "rpc_lat_p99_us", "rpc_lat_p999_us",
+                     "rpc_timeouts"},
+         .ratios = {{"xen/load10k/healthy", "cdna/load10k/healthy",
+                     "rpc_lat_p99_us"},
+                    {"xen/load10k/healthy", "cdna/load10k/healthy",
+                     "rpc_lat_p999_us"}},
+         .observe = "xen/load10k/healthy"},
+        // The default 145 us window is the paper's TX operating point.
+        {.name = "coalesce",
+         .make = coalesce,
+         .columns = {"mbps", "guest_intr_per_sec", "idle_pct", "hyp_pct"},
+         .paper = {{"cdna/w145us", "guest_intr_per_sec", 13659}}},
+        // The end points are Table 4's TX rows.
+        {.name = "protection",
+         .make = protectionAblation,
+         .columns = {"mbps", "hyp_pct", "idle_pct"},
+         .paper = {{"cdna/full", "mbps", 1867},
+                   {"cdna/full", "hyp_pct", 10.2},
+                   {"cdna/full", "idle_pct", 50.8},
+                   {"cdna/disabled", "mbps", 1867},
+                   {"cdna/disabled", "hyp_pct", 1.9},
+                   {"cdna/disabled", "idle_pct", 60.4}}},
+        {.name = "contexts",
+         .make = contexts,
+         .columns = {"mbps", "fw_util", "fairness", "idle_pct"}},
+        {.name = "iommu",
+         .make = iommu,
+         .columns = {"mbps", "hyp_pct", "iommu_blocked", "dma_violations"}},
+        // xen-flip/g1 is Table 3's Xen/Intel receive configuration.
+        {.name = "flipcopy",
+         .make = flipcopy,
+         .columns = {kProfile.begin(), kProfile.end()},
+         .paper = {{"xen-flip/g1", "mbps", 1112}, {"cdna/g1", "mbps", 1874}}},
+        {.name = "tcp-loss",
+         .make = tcpLoss,
+         .columns = {"mbps", "wire_mbps", "tcp_retrans_segs",
+                     "tcp_fast_retransmits", "tcp_rto_events",
+                     "rx_drops_bad_csum"},
+         .ratios = {{"cdna/drop0.01", "cdna/drop0", "mbps"}},
+         .observe = "cdna/drop0.001"},
+        {.name = "availability",
+         .make = availability,
+         .columns = {"mbps", "fe_reconnects", "per_guest_downtime_us",
+                     "per_guest_ttfp_us", "pages_quarantined",
+                     "quarantine_released", "outage_packets_lost"},
+         .observe = "xen/domkill"},
+        {.name = "oversub",
+         .make = oversub,
+         .columns = {"mbps", "cxt_page_traps", "cxt_evictions",
+                     "cxt_page_ins", "cxt_resident_peak",
+                     "protection_faults"},
+         // The paper's NIC holds 32 contexts: the resident ceiling.
+         .paper = {{"cdna-oversub/g256", "cxt_resident_peak", 32}},
+         .ratios = {{"cdna-oversub/g256", "xen/g256", "mbps"}},
+         .observe = "cdna-oversub/g256"},
+        {.name = "incast",
+         .make = incast,
+         .columns = {"mbps", "switch_drops", "sender_retrans",
+                     "flow_mbps_min", "flow_mbps_mean",
+                     "switch_queue_peak_bytes"},
+         .ratios = {{"cdna/f16/buf32k", "cdna/f16/buf256k", "mbps"},
+                    {"cdna/f16/buf32k", "cdna/f16/buf256k",
+                     "flow_mbps_min"}}},
+        {.name = "noisy-neighbor",
+         .make = noisyNeighbor,
+         .columns = {"mbps", "victim_flow_mbps", "victim_retrans",
+                     "trunk_drops"}},
+        {.name = "swpt",
+         .make = swpt,
+         .columns = {"mbps", "hyp_pct", "swpt_doorbell_traps",
+                     "swpt_validation_us"},
+         .ratios = {{"swpt/g16/tx", "cdna/g16/tx", "mbps"},
+                    {"swpt/g16/rx", "cdna/g16/rx", "mbps"},
+                    {"swpt/g16/rx", "xen/g16/rx", "mbps"}},
+         .observe = "swpt/g4/tx"},
+    };
     return presets;
+}
+
+const Preset *
+find(const std::string &name)
+{
+    for (const Preset &p : all())
+        if (p.name == name)
+            return &p;
+    return nullptr;
 }
 
 std::optional<ExperimentSpec>
 byName(const std::string &name)
 {
-    for (const auto &[key, make] : all())
-        if (key == name)
-            return make();
-    return std::nullopt;
+    const Preset *p = find(name);
+    return p ? std::optional<ExperimentSpec>(p->make()) : std::nullopt;
 }
 
 } // namespace cdna::sim::presets

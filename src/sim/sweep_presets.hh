@@ -4,10 +4,14 @@
  * 3-4) plus the repository's extension/ablation sweeps, expressed as
  * ExperimentSpecs.
  *
- * These are the single source of truth for what each artifact runs:
- * the `cdna_sweep` CLI, the bench_* binaries, and the determinism
- * tests all expand the same specs, so "the Table 2 configuration"
- * cannot drift between entry points.
+ * These are the single source of truth for what each artifact runs and
+ * what the paper reported for it.  Each Preset record carries its spec
+ * factory, the columns `cdna_sweep --preset NAME` prints per cell, the
+ * paper's published values as (cell, key, value) rows and (cell A /
+ * cell B, key) ratio rows, and the cell that observability flags
+ * attach to.  `cdna_sweep` and the determinism tests expand the same
+ * specs, so "the Table 2 configuration" cannot drift between entry
+ * points.
  */
 
 #ifndef CDNA_SIM_SWEEP_PRESETS_HH
@@ -15,7 +19,6 @@
 
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/sweep.hh"
@@ -106,10 +109,50 @@ ExperimentSpec noisyNeighbor();
  */
 ExperimentSpec swpt();
 
-/** Every preset, keyed by CLI name, in documentation order. */
-const std::vector<std::pair<std::string, ExperimentSpec (*)()>> &all();
+/** The paper's value of one key (report column or probe extra) in a cell. */
+struct PaperRow
+{
+    std::string cell;
+    std::string key;
+    double value = 0.0;
+};
 
-/** Look up a preset by name. */
+/**
+ * The ratio of one key between two cells (cellA / cellB), with the
+ * paper's value when the paper states one.
+ */
+struct PaperRatio
+{
+    std::string cellA;
+    std::string cellB;
+    std::string key;
+    std::optional<double> value{};
+};
+
+/** One named experiment: what it runs, prints, and compares against. */
+struct Preset
+{
+    std::string name;
+    ExperimentSpec (*make)() = nullptr;
+    /** Printed per cell: report column keys or the probe's extra names. */
+    std::vector<std::string> columns{};
+    /** Printed on a "paper" line under their cell; keys are columns. */
+    std::vector<PaperRow> paper{};
+    std::vector<PaperRatio> ratios{};
+    /**
+     * The cell whose first-seed run gets the observability flags
+     * (--trace, --stats-json, ...); empty selects the first cell.
+     */
+    std::string observe{};
+};
+
+/** Every preset, keyed by CLI name, in documentation order. */
+const std::vector<Preset> &all();
+
+/** The preset named @p name, or nullptr. */
+const Preset *find(const std::string &name);
+
+/** Look up a preset's spec by name. */
 std::optional<ExperimentSpec> byName(const std::string &name);
 
 } // namespace cdna::sim::presets

@@ -76,6 +76,7 @@ TEST(Cli, TopologyAndWorkload)
     EXPECT_FALSE(opt->config.transmitDir);
     EXPECT_EQ(opt->config.connectionsPerVif, 5u);
     EXPECT_EQ(opt->config.seed, 9u);
+    EXPECT_EQ(parse({"--seed", "4294967295"})->config.seed, 4294967295u);
 }
 
 TEST(Cli, ProtectionAndIommu)
@@ -111,6 +112,11 @@ TEST(Cli, ErrorsAreReported)
     EXPECT_FALSE(parse({"--guests"}, &err).has_value());
     EXPECT_FALSE(parse({"--guests", "zero"}, &err).has_value());
     EXPECT_FALSE(parse({"--guests", "0"}, &err).has_value());
+    // Counts take digits only: no sign, no wrap past UINT32_MAX, no
+    // trailing characters.
+    EXPECT_FALSE(parse({"--guests", "-1"}, &err).has_value());
+    EXPECT_FALSE(parse({"--guests", "4294967297"}, &err).has_value());
+    EXPECT_FALSE(parse({"--guests", "3x"}, &err).has_value());
     EXPECT_FALSE(parse({"--seconds", "-1"}, &err).has_value());
     EXPECT_FALSE(parse({"--direction", "sideways"}, &err).has_value());
     EXPECT_FALSE(parse({"--nonsense"}, &err).has_value());

@@ -364,13 +364,55 @@ TEST(SweepJson, DocumentShapeAndVersion)
 
 TEST(SweepPresets, RegistryResolvesEveryPreset)
 {
-    for (const auto &[name, make] : sim::presets::all()) {
-        auto spec = sim::presets::byName(name);
-        ASSERT_TRUE(spec.has_value()) << name;
-        EXPECT_EQ(spec->name(), name);
-        EXPECT_FALSE(spec->expand().empty()) << name;
+    for (const auto &preset : sim::presets::all()) {
+        auto spec = sim::presets::byName(preset.name);
+        ASSERT_TRUE(spec.has_value()) << preset.name;
+        EXPECT_EQ(spec->name(), preset.name);
+        EXPECT_FALSE(spec->expand().empty()) << preset.name;
     }
     EXPECT_FALSE(sim::presets::byName("nope").has_value());
+}
+
+TEST(Presets, ColumnsAndPaperRowsResolve)
+{
+    for (const auto &preset : sim::presets::all()) {
+        SCOPED_TRACE(preset.name);
+        sim::ExperimentSpec spec = preset.make();
+        std::vector<sim::RunPoint> points = spec.expand();
+        std::set<std::string> cells;
+        for (const auto &p : points)
+            cells.insert(p.cell);
+
+        // One short run of the first cell names the probe's extras.
+        sim::RunPoint point = points.front();
+        point.warmup = sim::milliseconds(1);
+        point.measure = sim::milliseconds(2);
+        sim::RunResult run = sim::runPoint(spec, point);
+        auto isKey = [&](const std::string &key) {
+            return core::findReportColumn(key) != nullptr ||
+                   run.extra.count(key) != 0;
+        };
+        std::set<std::string> columns(preset.columns.begin(),
+                                      preset.columns.end());
+
+        EXPECT_FALSE(preset.columns.empty());
+        for (const auto &key : preset.columns)
+            EXPECT_TRUE(isKey(key)) << key;
+        for (const auto &row : preset.paper) {
+            EXPECT_TRUE(cells.count(row.cell)) << row.cell;
+            EXPECT_TRUE(columns.count(row.key)) << row.key;
+        }
+        for (const auto &ratio : preset.ratios) {
+            EXPECT_TRUE(cells.count(ratio.cellA)) << ratio.cellA;
+            EXPECT_TRUE(cells.count(ratio.cellB)) << ratio.cellB;
+            EXPECT_TRUE(isKey(ratio.key)) << ratio.key;
+            const core::ReportColumn *c = core::findReportColumn(ratio.key);
+            EXPECT_TRUE(!c || c->get) << ratio.key << " is an array";
+        }
+        if (!preset.observe.empty()) {
+            EXPECT_TRUE(cells.count(preset.observe)) << preset.observe;
+        }
+    }
 }
 
 } // namespace

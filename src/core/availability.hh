@@ -81,6 +81,21 @@ class AvailabilityTracker : public sim::SimObject
         g.recoveryAt = now();
     }
 
+    /** A host-wide fault (driver domain, firmware) hit every guest. */
+    void
+    noteOutageStartAll()
+    {
+        for (std::uint32_t g = 0; g < guests(); ++g)
+            noteOutageStart(g);
+    }
+
+    void
+    noteRecoveryAll()
+    {
+        for (std::uint32_t g = 0; g < guests(); ++g)
+            noteRecovery(g);
+    }
+
     /** End-to-end progress (tx completion or rx delivery) for @p guest. */
     void
     noteProgress(std::uint32_t guest)

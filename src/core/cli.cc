@@ -98,7 +98,9 @@ const Spec kSpecs[] = {
          st.mode = v;
          return true;
      }},
-    {"--nic", "KIND", "intel | rice (xen mode only; default intel)",
+    {"--nic", "KIND",
+     "intel | rice: the NIC under --mode xen, naming\n"
+     "the xen-intel or xen-ricenic mode (default intel)",
      "I/O architecture",
      [](ParseState &st, const std::string &v, std::string *) {
          st.nic = v;
@@ -431,6 +433,24 @@ finalize(ParseState st, std::string *error)
         cfg.transport(kTcp);
     else if (st.transport != "open")
         return fail("--transport must be open or tcp");
+
+    // Fault targets must exist, also when a plan file names them: an
+    // index past the last guest or NIC would alias another one's slot.
+    auto missing = [&](const char *flag, const char *what, std::uint32_t i,
+                       std::uint32_t n) {
+        return fail(std::string(flag) + ": no " + what + " " +
+                    std::to_string(i) + " (" + std::to_string(n) +
+                    " configured)");
+    };
+    for (const auto &gk : st.faults.guestKills)
+        if (gk.guest >= cfg.numGuests)
+            return missing("--kill-guest", "guest", gk.guest, cfg.numGuests);
+    for (const auto &fs : st.faults.firmwareStalls)
+        if (fs.nic >= cfg.numNics)
+            return missing("--firmware-stall", "NIC", fs.nic, cfg.numNics);
+    for (const auto &fr : st.faults.firmwareReboots)
+        if (fr.nic >= cfg.numNics)
+            return missing("--reboot-firmware", "NIC", fr.nic, cfg.numNics);
 
     cfg.withConnections(st.connections).withSeed(st.seed);
     if (st.haveFaults)

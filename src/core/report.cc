@@ -93,13 +93,18 @@ Report::fairness() const
     return hi > 0 ? lo / hi : 1.0;
 }
 
-// Table-row shorthands: a double metric, an integer counter (exact in
-// a double far past any window's count), and a per-guest array.
+// Table-row shorthands: a double metric, an integer counter windowed
+// over the measurement (exact in a double far past any window's count),
+// an integer level or peak, and a per-guest array.
 #define CDNA_REAL(key, expr)                                              \
     {key, "%.4f", [](const Report &r) { return r.expr; }}
-#define CDNA_COUNT(key, field)                                            \
+#define CDNA_LEVEL(key, field)                                            \
     {key, "%.0f",                                                         \
      [](const Report &r) { return static_cast<double>(r.field); }}
+#define CDNA_COUNT(key, field)                                            \
+    {key, "%.0f",                                                         \
+     [](const Report &r) { return static_cast<double>(r.field); },        \
+     nullptr, &Report::field}
 #define CDNA_LIST(key, field, fmt)                                        \
     {key, fmt, nullptr,                                                   \
      [](const Report &r) -> const std::vector<double> & {                 \
@@ -148,8 +153,8 @@ reportColumns()
         CDNA_COUNT("mailbox_timeouts", mailboxTimeouts),
         CDNA_COUNT("ring_resyncs", ringResyncs),
         CDNA_COUNT("rx_drops_bad_csum", rxDropsBadCsum),
-        CDNA_COUNT("tx_backlog_peak", txBacklogPeak),
-        CDNA_COUNT("tx_backlog_now", txBacklogNow),
+        CDNA_LEVEL("tx_backlog_peak", txBacklogPeak),
+        CDNA_LEVEL("tx_backlog_now", txBacklogNow),
         CDNA_COUNT("tcp_retrans_segs", tcpRetransSegs),
         CDNA_COUNT("tcp_fast_retransmits", tcpFastRetransmits),
         CDNA_COUNT("tcp_rto_events", tcpRtoEvents),
@@ -165,10 +170,10 @@ reportColumns()
         CDNA_COUNT("cxt_page_traps", cxtPageTraps),
         CDNA_COUNT("cxt_evictions", cxtEvictions),
         CDNA_COUNT("cxt_page_ins", cxtPageIns),
-        CDNA_COUNT("cxt_resident_peak", cxtResidentPeak),
+        CDNA_LEVEL("cxt_resident_peak", cxtResidentPeak),
         CDNA_COUNT("switch_drops", switchDrops),
         CDNA_COUNT("switch_drop_bytes", switchDropBytes),
-        CDNA_COUNT("switch_queue_peak_bytes", switchQueuePeakBytes),
+        CDNA_LEVEL("switch_queue_peak_bytes", switchQueuePeakBytes),
         CDNA_COUNT("rpc_requests", rpcRequests),
         CDNA_COUNT("rpc_responses", rpcResponses),
         CDNA_COUNT("rpc_timeouts", rpcTimeouts),
@@ -185,6 +190,7 @@ reportColumns()
 }
 
 #undef CDNA_REAL
+#undef CDNA_LEVEL
 #undef CDNA_COUNT
 #undef CDNA_LIST
 

@@ -235,6 +235,9 @@ struct ReportColumn
     const char *format;
     double (*get)(const Report &) = nullptr;
     const std::vector<double> &(*list)(const Report &) = nullptr;
+    /** A counter reported as its change over the measurement window
+     *  (null for rates, levels, peaks and arrays). */
+    std::uint64_t Report::*windowed = nullptr;
 };
 
 /**

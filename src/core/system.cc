@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "net/workload/workload_engine.hh"
 #include "sim/assert.hh"
 
 namespace cdna::core {
@@ -43,21 +42,9 @@ System::System(SystemConfig cfg, sim::SimContext *shared,
             ctx_, nm("faults"), cfg_.seed, cfg_.faults.rates());
         ctx_.setFaultInjector(faults_.get());
     }
+    arch_ = IoArch::create(*this);
     buildCommon();
-    switch (cfg_.mode) {
-      case IoMode::kNative:
-        buildNative();
-        break;
-      case IoMode::kXen:
-        buildXen();
-        break;
-      case IoMode::kCdna:
-        buildCdna();
-        break;
-      case IoMode::kSwPassthrough:
-        buildSwpt();
-        break;
-    }
+    arch_->build();
     startTimers();
     registerGauges();
     if (faults_) {
@@ -81,10 +68,16 @@ System::guestMac(std::uint32_t guest, std::uint32_t nic) const
                                 guest * 256u + nic);
 }
 
+net::MacAddr
+System::driverMac(std::uint32_t nic) const
+{
+    return net::MacAddr::fromId(cfg_.hostId * 0x00100000u + 0x020000u + nic);
+}
+
 net::Port &
 System::nicPort(std::uint32_t i)
 {
-    return *nicPorts_[i];
+    return nics_[i]->port();
 }
 
 void
@@ -98,10 +91,6 @@ System::buildCommon()
     if (cfg_.iommuMode != mem::Iommu::Mode::kNone)
         iommu_ = std::make_unique<mem::Iommu>(ctx_, *mem_, cfg_.iommuMode);
 
-    NicKind kind = (cfg_.mode == IoMode::kNative ||
-                    cfg_.mode == IoMode::kSwPassthrough)
-                       ? NicKind::kIntel
-                       : cfg_.nicKind;
     for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
         std::string suffix = std::to_string(i);
         buses_.push_back(
@@ -125,37 +114,24 @@ System::buildCommon()
             peers_.back()->applyWorkload(knobs);
             fab = links_.back().get();
         }
-        if (kind == NicKind::kIntel) {
+        if (arch_->nicModel() == NicModel::kIntel) {
             auto params = cfg_.intelParams;
             params.coalesce = cfg_.costs.intelCoalesce;
-            intelNics_.push_back(std::make_unique<nic::IntelNic>(
+            nics_.push_back(std::make_unique<nic::IntelNic>(
                 ctx_, nm("intel" + suffix), *buses_.back(), *mem_, i,
                 *fab, params));
-            nicPorts_.push_back(&intelNics_.back()->port());
-            if (iommu_)
-                intelNics_.back()->dma().setIommu(iommu_.get());
         } else {
             auto params = cfg_.cdnaParams;
             params.coalesce = cfg_.transmitDir ? cfg_.costs.cdnaCoalesce
                                                : cfg_.costs.cdnaCoalesceRx;
             params.seqnoCheck = cfg_.dmaProtection;
-            if (cfg_.mode == IoMode::kCdna && cfg_.ctxOversub) {
-                // One virtual context per guest, paged over the
-                // physical slots on demand.
-                params.virtualContexts =
-                    std::max(params.numContexts, cfg_.numGuests);
-            }
-            cdnaNics_.push_back(std::make_unique<CdnaNic>(
+            arch_->tuneCdnaNic(params);
+            nics_.push_back(std::make_unique<CdnaNic>(
                 ctx_, nm("cdna" + suffix), *buses_.back(), *mem_, i,
                 *fab, params));
-            nicPorts_.push_back(&cdnaNics_.back()->port());
-            if (iommu_)
-                cdnaNics_.back()->dma().setIommu(iommu_.get());
-            cxtChannels_.emplace_back(
-                std::max<std::size_t>(nic::kMaxContexts,
-                                      params.virtualContexts),
-                nullptr);
         }
+        if (iommu_)
+            nics_.back()->dma().setIommu(iommu_.get());
     }
 }
 
@@ -163,77 +139,51 @@ void
 System::registerGauges()
 {
     // Utilization gauges report the busy fraction since the previous
-    // sample as a percentage; each lambda keeps the prior cumulative
-    // value.  All callbacks are read-only with respect to simulated
-    // state, so sampling cannot perturb results.
-    auto util_pct = [](sim::Time busy_delta, sim::Time dt) {
-        if (dt <= 0)
-            return 0.0;
-        double pct = 100.0 * static_cast<double>(busy_delta) /
-                     static_cast<double>(dt);
-        return pct < 0.0 ? 0.0 : pct;
+    // sample as a percentage; each keeps the prior cumulative value.
+    // resetAccounting() can move cumulative time backwards, which
+    // restarts the delta from the post-reset value.  All callbacks are
+    // read-only with respect to simulated state, so sampling cannot
+    // perturb results.
+    auto util_pct = [this](std::function<sim::Time()> busy_time) {
+        return [this, busy_time = std::move(busy_time), prev = sim::Time{0},
+                prevAt = sim::Time{0}]() mutable {
+            sim::Time busy = busy_time();
+            sim::Time at = ctx_.events().now();
+            double pct = busy < prev || at <= prevAt
+                             ? 0.0
+                             : 100.0 * static_cast<double>(busy - prev) /
+                                   static_cast<double>(at - prevAt);
+            prev = busy;
+            prevAt = at;
+            return pct;
+        };
     };
 
     for (const auto &dom : hv_->domains()) {
         const vmm::Domain *d = dom.get();
-        metrics_.addGauge(
-            "cpu." + d->name() + ".util_pct",
-            [this, d, util_pct, prev = sim::Time{0},
-             prevAt = sim::Time{0}]() mutable {
-                const auto &prof = cpu_->profile();
-                sim::Time busy =
-                    prof.domainTime(d->id(), cpu::Bucket::kOs) +
-                    prof.domainTime(d->id(), cpu::Bucket::kUser);
-                sim::Time at = ctx_.events().now();
-                double pct = util_pct(busy - prev, at - prevAt);
-                // resetAccounting() can move cumulative time backwards;
-                // restart the delta from the post-reset value.
-                if (busy < prev)
-                    pct = 0.0;
-                prev = busy;
-                prevAt = at;
-                return pct;
-            });
+        metrics_.addGauge("cpu." + d->name() + ".util_pct",
+                          util_pct([this, d] {
+                              const auto &prof = cpu_->profile();
+                              return prof.domainTime(d->id(),
+                                                     cpu::Bucket::kOs) +
+                                     prof.domainTime(d->id(),
+                                                     cpu::Bucket::kUser);
+                          }));
     }
-    metrics_.addGauge(
-        "cpu.hypervisor_pct",
-        [this, util_pct, prev = sim::Time{0},
-         prevAt = sim::Time{0}]() mutable {
-            sim::Time busy = cpu_->profile().hypervisor();
-            sim::Time at = ctx_.events().now();
-            double pct = busy < prev ? 0.0
-                                     : util_pct(busy - prev, at - prevAt);
-            prev = busy;
-            prevAt = at;
-            return pct;
-        });
-    metrics_.addGauge(
-        "cpu.idle_pct",
-        [this, util_pct, prev = sim::Time{0},
-         prevAt = sim::Time{0}]() mutable {
-            cpu_->syncIdle(); // flush the in-progress idle span
-            sim::Time busy = cpu_->profile().idle();
-            sim::Time at = ctx_.events().now();
-            double pct = busy < prev ? 0.0
-                                     : util_pct(busy - prev, at - prevAt);
-            prev = busy;
-            prevAt = at;
-            return pct;
-        });
+    metrics_.addGauge("cpu.hypervisor_pct", util_pct([this] {
+                          return cpu_->profile().hypervisor();
+                      }));
+    metrics_.addGauge("cpu.idle_pct", util_pct([this] {
+                          cpu_->syncIdle(); // flush the in-progress span
+                          return cpu_->profile().idle();
+                      }));
 
-    for (const auto &nicp : cdnaNics_) {
-        CdnaNic *nic = nicp.get();
-        metrics_.addGauge(
-            "nic." + nic->name() + ".fw_util_pct",
-            [nic, this, util_pct, prev = sim::Time{0},
-             prevAt = sim::Time{0}]() mutable {
-                sim::Time busy = nic->firmwareBusyTime();
-                sim::Time at = ctx_.events().now();
-                double pct = util_pct(busy - prev, at - prevAt);
-                prev = busy;
-                prevAt = at;
-                return pct;
-            });
+    for (std::uint32_t i = 0; i < nicCount(); ++i) {
+        CdnaNic *nic = cdnaNic(i);
+        if (!nic)
+            continue;
+        metrics_.addGauge("nic." + nic->name() + ".fw_util_pct",
+                          util_pct([nic] { return nic->firmwareBusyTime(); }));
         metrics_.addGauge(
             "nic." + nic->name() + ".intr_ring_occupancy", [nic] {
                 const InterruptRing *ring = nic->interruptRing();
@@ -243,8 +193,7 @@ System::registerGauges()
                                            ring->consumer());
             });
     }
-    if (prot_) {
-        DmaProtection *prot = prot_.get();
+    if (DmaProtection *prot = protection()) {
         metrics_.addGauge("protection.pinned_pages", [prot] {
             return static_cast<double>(prot->pagesPinned() -
                                        prot->pagesUnpinned());
@@ -266,298 +215,21 @@ System::registerGauges()
 }
 
 void
-System::wireCdnaIsr(std::uint32_t i)
+System::plumbGuest(std::uint32_t g, std::uint32_t i, os::NetDevice &dev)
 {
-    CdnaNic &nic = *cdnaNics_[i];
-    mem::PageNum ring_page = mem_->allocOne(mem::kDomHypervisor);
-    nic.setInterruptRing(mem::addrOf(ring_page));
-    nic.setFaultHandler([this](CdnaNic::ContextId, mem::DomainId dom,
-                               vmm::Fault f) { hv_->recordFault(dom, f); });
-    nic.setIrqLine([this, i] {
-        hv_->physicalInterrupt(0, [this, i] {
-            InterruptRing *ring = cdnaNics_[i]->interruptRing();
-            while (!ring->empty()) {
-                std::uint32_t vec = ring->pop();
-                while (vec != 0) {
-                    auto b = static_cast<std::uint32_t>(
-                        __builtin_ctz(vec));
-                    vec &= vec - 1;
-                    // Interrupt vectors carry physical-slot bits;
-                    // resolve to the owning (virtual) context.  A slot
-                    // whose owner was evicted after the DMA is stale:
-                    // its guest is notified by the pager instead.
-                    auto owner = cdnaNics_[i]->contextAtSlot(b);
-                    if (!owner)
-                        continue;
-                    vmm::EventChannel *ch = cxtChannels_[i][*owner];
-                    if (ch)
-                        hv_->deliverVirtIrq(*ch);
-                }
-            }
-        });
-    });
-    if (iommu_) {
-        // Whole-device accesses (interrupt bit vectors) act on behalf of
-        // the hypervisor.
-        iommu_->bindDevice(i, mem::kDomHypervisor);
-    }
-}
-
-void
-System::buildNative()
-{
-    vmm::Domain &native = hv_->createDomain(vmm::Domain::Kind::kGuest,
-                                            nm("native"));
-    guests_.push_back(&native);
-
-    for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
-        auto mac = guestMac(0, i);
-        nativeDrivers_.push_back(std::make_unique<os::NativeDriver>(
-            ctx_, nm("natdrv" + std::to_string(i)), native, *intelNics_[i],
-            cfg_.costs, os::NativeDriver::IrqRoute::kDirect, mac));
-        nativeDrivers_.back()->attach();
-        guestDevs_.push_back(nativeDrivers_.back().get());
-        stacks_.push_back(std::make_unique<os::NetStack>(
-            ctx_, nm("stack0." + std::to_string(i)), native,
-            *nativeDrivers_.back(), cfg_.costs));
-        if (peers_[i])
-            stacks_.back()->setDefaultDst(peers_[i]->mac());
-        if (cfg_.transportKind == TransportKind::kTcp)
-            stacks_.back()->enableTcp(cfg_.tcpParams);
-        workload::TrafficApp::Params ap;
-        ap.connections = cfg_.connectionsPerVif;
-        ap.transmit = cfg_.transmitDir;
-        ap.rpcServer = cfg_.workload.hasRpc();
-        apps_.push_back(std::make_unique<workload::TrafficApp>(
-            ctx_, nm("app0." + std::to_string(i)), *stacks_.back(),
-            cfg_.costs, ap));
-    }
-}
-
-void
-System::buildXen()
-{
-    driverDom_ = &hv_->createDomain(vmm::Domain::Kind::kDriver,
-                                    nm("dom0"));
-    for (std::uint32_t g = 0; g < cfg_.numGuests; ++g)
-        guests_.push_back(&hv_->createDomain(
-            vmm::Domain::Kind::kGuest, nm("guest" + std::to_string(g))));
-
-    if (cfg_.nicKind == NicKind::kRice)
-        prot_ = std::make_unique<DmaProtection>(ctx_, *hv_, cfg_.costs,
-                                                /*enabled=*/true);
-
-    for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
-        os::NetDevice *phys = nullptr;
-        auto drv_mac = net::MacAddr::fromId(cfg_.hostId * 0x00100000u +
-                                            0x020000u + i);
-        if (cfg_.nicKind == NicKind::kIntel) {
-            nativeDrivers_.push_back(std::make_unique<os::NativeDriver>(
-                ctx_, nm("dom0drv" + std::to_string(i)), *driverDom_,
-                *intelNics_[i], cfg_.costs,
-                os::NativeDriver::IrqRoute::kViaHypervisor, drv_mac));
-            nativeDrivers_.back()->attach();
-            // The bridge needs frames destined to guest MACs.
-            intelNics_[i]->setPromiscuous(true);
-            phys = nativeDrivers_.back().get();
-        } else {
-            CdnaNic &nic = *cdnaNics_[i];
-            wireCdnaIsr(i);
-            auto cxt = nic.allocContext(driverDom_->id(), drv_mac);
-            SIM_ASSERT(cxt.has_value(), "no context for driver domain");
-            mem::PageNum txp = mem_->allocOne(driverDom_->id());
-            mem::PageNum rxp = mem_->allocOne(driverDom_->id());
-            mem::PageNum stp = mem_->allocOne(driverDom_->id());
-            nic.configureContextRings(*cxt, 256, mem::addrOf(txp), 256,
-                                      mem::addrOf(rxp));
-            nic.setStatusPage(*cxt, mem::addrOf(stp));
-            drvDomCdnaDrivers_.push_back(std::make_unique<CdnaGuestDriver>(
-                ctx_, nm("dom0cdna" + std::to_string(i)), *driverDom_, nic,
-                *cxt, *prot_, cfg_.costs, drv_mac));
-            CdnaGuestDriver *drv = drvDomCdnaDrivers_.back().get();
-            cxtChannels_[i][*cxt] = &hv_->createChannel(
-                *driverDom_, cfg_.costs.irqEntry,
-                [drv] { drv->handleIrq(); });
-            drv->attach();
-            if (iommu_)
-                iommu_->bindContext(i, *cxt, driverDom_->id());
-            // Software virtualization: the driver domain's context must
-            // accept frames for every guest MAC, since all traffic is
-            // routed through the bridge.
-            nic.setPromiscuousContext(*cxt);
-            phys = drv;
-        }
-        ddns_.push_back(std::make_unique<os::DriverDomainNet>(
-            ctx_, nm("ddn" + std::to_string(i)), *driverDom_, *phys,
-            cfg_.costs));
-        ddns_.back()->setRxCopyMode(cfg_.xenRxCopyMode);
-
-        for (std::uint32_t g = 0; g < cfg_.numGuests; ++g) {
-            os::XenVif &vif = ddns_.back()->createVif(*guests_[g],
-                                                      guestMac(g, i));
-            guestDevs_.push_back(&vif);
-            stacks_.push_back(std::make_unique<os::NetStack>(
-                ctx_,
-                nm("stack" + std::to_string(g) + "." + std::to_string(i)),
-                *guests_[g], vif, cfg_.costs));
-            if (peers_[i])
-                stacks_.back()->setDefaultDst(peers_[i]->mac());
-            if (cfg_.transportKind == TransportKind::kTcp)
-                stacks_.back()->enableTcp(cfg_.tcpParams);
-            workload::TrafficApp::Params ap;
-            ap.connections = cfg_.connectionsPerVif;
-            ap.transmit = cfg_.transmitDir;
-            ap.rpcServer = cfg_.workload.hasRpc();
-            apps_.push_back(std::make_unique<workload::TrafficApp>(
-                ctx_,
-                nm("app" + std::to_string(g) + "." + std::to_string(i)),
-                *stacks_.back(), cfg_.costs, ap));
-        }
-    }
-}
-
-void
-System::buildCdna()
-{
-    driverDom_ = &hv_->createDomain(vmm::Domain::Kind::kDriver,
-                                    nm("dom0"));
-    for (std::uint32_t g = 0; g < cfg_.numGuests; ++g)
-        guests_.push_back(&hv_->createDomain(
-            vmm::Domain::Kind::kGuest, nm("guest" + std::to_string(g))));
-
-    prot_ = std::make_unique<DmaProtection>(ctx_, *hv_, cfg_.costs,
-                                            cfg_.dmaProtection);
-
-    for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
-        wireCdnaIsr(i);
-        CdnaNic &nic = *cdnaNics_[i];
-        if (cfg_.ctxOversub) {
-            pagers_.push_back(std::make_unique<ContextPager>(
-                ctx_, nm("pager" + std::to_string(i)), *hv_, nic, cfg_.costs,
-                cfg_.ctxEvictPolicy));
-            ContextPager *pager = pagers_.back().get();
-            nic.setPageFaultHandler(
-                [pager](CdnaNic::ContextId c) { pager->onTrap(c); });
-            pager->setEvictedHook([this, i](CdnaNic::ContextId c) {
-                // Wake the evicted guest's driver so it collects the
-                // completion records that landed during the quiesce.
-                vmm::EventChannel *ch = cxtChannels_[i][c];
-                if (ch)
-                    hv_->deliverVirtIrq(*ch);
-            });
-        }
-        for (std::uint32_t g = 0; g < cfg_.numGuests; ++g) {
-            vmm::Domain &guest = *guests_[g];
-            auto mac = guestMac(g, i);
-            auto cxt = nic.allocContext(guest.id(), mac);
-            if (!cxt.has_value()) {
-                // Clear diagnostic instead of an assert: the 33rd CDNA
-                // guest is a configuration error unless the virtual
-                // context layer is enabled.
-                throw std::runtime_error(
-                    "CDNA NIC '" + nic.name() + "': out of hardware "
-                    "contexts (" +
-                    std::to_string(nic.params().numContexts) +
-                    ") allocating guest '" + guest.name() +
-                    "'; enable virtual-context oversubscription "
-                    "(SystemConfig::oversubscribed) to run more guests "
-                    "than physical contexts");
-            }
-            mem::PageNum txp = mem_->allocOne(guest.id());
-            mem::PageNum rxp = mem_->allocOne(guest.id());
-            mem::PageNum stp = mem_->allocOne(guest.id());
-            nic.configureContextRings(*cxt, 256, mem::addrOf(txp), 256,
-                                      mem::addrOf(rxp));
-            nic.setStatusPage(*cxt, mem::addrOf(stp));
-
-            guestCdnaDrivers_.push_back(std::make_unique<CdnaGuestDriver>(
-                ctx_,
-                nm("cdnadrv" + std::to_string(g) + "." +
-                   std::to_string(i)),
-                guest, nic, *cxt, *prot_, cfg_.costs, mac));
-            CdnaGuestDriver *drv = guestCdnaDrivers_.back().get();
-            cxtChannels_[i][*cxt] = &hv_->createChannel(
-                guest, cfg_.costs.irqEntry, [drv] { drv->handleIrq(); });
-            drv->attach();
-            if (iommu_ &&
-                cfg_.iommuMode == mem::Iommu::Mode::kPerContext)
-                iommu_->bindContext(i, *cxt, guest.id());
-
-            guestDevs_.push_back(drv);
-            stacks_.push_back(std::make_unique<os::NetStack>(
-                ctx_,
-                nm("stack" + std::to_string(g) + "." + std::to_string(i)),
-                guest, *drv, cfg_.costs));
-            if (peers_[i])
-                stacks_.back()->setDefaultDst(peers_[i]->mac());
-            if (cfg_.transportKind == TransportKind::kTcp)
-                stacks_.back()->enableTcp(cfg_.tcpParams);
-            workload::TrafficApp::Params ap;
-            ap.connections = cfg_.connectionsPerVif;
-            ap.transmit = cfg_.transmitDir;
-            ap.rpcServer = cfg_.workload.hasRpc();
-            apps_.push_back(std::make_unique<workload::TrafficApp>(
-                ctx_,
-                nm("app" + std::to_string(g) + "." + std::to_string(i)),
-                *stacks_.back(), cfg_.costs, ap));
-        }
-    }
-}
-
-void
-System::buildSwpt()
-{
-    // dom0 exists as the control domain only (so driver-domain fault
-    // plans compose); the datapath never touches it -- descriptor
-    // validation runs in the hypervisor itself.
-    driverDom_ = &hv_->createDomain(vmm::Domain::Kind::kDriver,
-                                    nm("dom0"));
-    for (std::uint32_t g = 0; g < cfg_.numGuests; ++g)
-        guests_.push_back(&hv_->createDomain(
-            vmm::Domain::Kind::kGuest, nm("guest" + std::to_string(g))));
-
-    for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
-        swptValidators_.push_back(std::make_unique<vmm::SwptValidator>(
-            ctx_, nm("swptval" + std::to_string(i)), *hv_,
-            *intelNics_[i], cfg_.costs));
-        vmm::SwptValidator &val = *swptValidators_.back();
-        val.attach();
-        if (iommu_) {
-            // The shared NIC DMAs on the hypervisor's behalf: only
-            // validated (hypervisor grant-mapped) pages are reachable.
-            iommu_->bindDevice(i, mem::kDomHypervisor);
-        }
-
-        for (std::uint32_t g = 0; g < cfg_.numGuests; ++g) {
-            vmm::Domain &guest = *guests_[g];
-            auto mac = guestMac(g, i);
-            swptDrivers_.push_back(std::make_unique<os::SwptDriver>(
-                ctx_,
-                nm("swptdrv" + std::to_string(g) + "." +
-                   std::to_string(i)),
-                guest, val, cfg_.costs, mac));
-            os::SwptDriver *drv = swptDrivers_.back().get();
-            drv->attach();
-
-            guestDevs_.push_back(drv);
-            stacks_.push_back(std::make_unique<os::NetStack>(
-                ctx_,
-                nm("stack" + std::to_string(g) + "." + std::to_string(i)),
-                guest, *drv, cfg_.costs));
-            if (peers_[i])
-                stacks_.back()->setDefaultDst(peers_[i]->mac());
-            if (cfg_.transportKind == TransportKind::kTcp)
-                stacks_.back()->enableTcp(cfg_.tcpParams);
-            workload::TrafficApp::Params ap;
-            ap.connections = cfg_.connectionsPerVif;
-            ap.transmit = cfg_.transmitDir;
-            ap.rpcServer = cfg_.workload.hasRpc();
-            apps_.push_back(std::make_unique<workload::TrafficApp>(
-                ctx_,
-                nm("app" + std::to_string(g) + "." + std::to_string(i)),
-                *stacks_.back(), cfg_.costs, ap));
-        }
-    }
+    std::string id = std::to_string(g) + "." + std::to_string(i);
+    stacks_.push_back(std::make_unique<os::NetStack>(
+        ctx_, nm("stack" + id), *guests_[g], dev, cfg_.costs));
+    if (peers_[i])
+        stacks_.back()->setDefaultDst(peers_[i]->mac());
+    if (cfg_.transportKind == TransportKind::kTcp)
+        stacks_.back()->enableTcp(cfg_.tcpParams);
+    workload::TrafficApp::Params ap;
+    ap.connections = cfg_.connectionsPerVif;
+    ap.transmit = cfg_.transmitDir;
+    ap.rpcServer = cfg_.workload.hasRpc();
+    apps_.push_back(std::make_unique<workload::TrafficApp>(
+        ctx_, nm("app" + id), *stacks_.back(), cfg_.costs, ap));
 }
 
 void
@@ -596,6 +268,12 @@ System::start()
     started_ = true;
     for (auto &app : apps_)
         app->start();
+    auto guest_macs = [this](std::uint32_t nic) {
+        std::vector<net::MacAddr> macs;
+        for (std::uint32_t g = 0; g < guests_.size(); ++g)
+            macs.push_back(guestMac(g, nic));
+        return macs;
+    };
     if (!cfg_.workload.empty()) {
         // Declarative workload: each local peer runs the spec against
         // the guests' MACs (or the spec's explicit targets), started
@@ -608,14 +286,8 @@ System::start()
                 continue; // external fabric: the topology drives sources
             net::workload::WorkloadSpec spec = cfg_.workload;
             spec.seed = cfg_.seed;
-            if (spec.targets.empty()) {
-                if (cfg_.mode == IoMode::kNative) {
-                    spec.targets.push_back(guestMac(0, i));
-                } else {
-                    for (std::uint32_t g = 0; g < cfg_.numGuests; ++g)
-                        spec.targets.push_back(guestMac(g, i));
-                }
-            }
+            if (spec.targets.empty())
+                spec.targets = guest_macs(i);
             ctx_.events().schedule(sim::milliseconds(1.0),
                                    [p, spec = std::move(spec)] {
                                        p->applyWorkload(spec);
@@ -625,18 +297,11 @@ System::start()
         // Receive experiments: the peer floods the guests' MACs at line
         // rate once the guests have had a moment to post RX buffers.
         for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
-            std::vector<net::MacAddr> dsts;
-            if (cfg_.mode == IoMode::kNative) {
-                dsts.push_back(guestMac(0, i));
-            } else {
-                for (std::uint32_t g = 0; g < cfg_.numGuests; ++g)
-                    dsts.push_back(guestMac(g, i));
-            }
             net::TrafficPeer *p = peers_[i].get();
             if (!p)
                 continue; // external fabric: the topology drives sources
             net::workload::WorkloadSpec flood;
-            flood.toward(std::move(dsts))
+            flood.toward(guest_macs(i))
                 .withClass(net::workload::FlowClass::saturating());
             ctx_.events().schedule(sim::milliseconds(1.0),
                                    [p, flood = std::move(flood)] {
@@ -646,347 +311,18 @@ System::start()
     }
 }
 
-System::Snapshot
-System::snapshot() const
-{
-    Snapshot s;
-    for (const auto &p : peers_) {
-        if (!p)
-            continue;
-        s.peerRxPayload += p->payloadDelivered();
-        s.rxDropsBadCsum += p->rxDropsBadCsum();
-        if (const auto *e = p->engine()) {
-            s.rpcRequests += e->rpcRequests();
-            s.rpcResponses += e->rpcResponses();
-            s.rpcTimeouts += e->rpcTimeouts();
-            s.flowsStarted += e->flowsStarted();
-            s.flowsCompleted += e->flowsCompleted();
-        }
-        if (auto *t = p->tcp()) {
-            s.tcpRetrans += t->retransSegs();
-            s.tcpFastRtx += t->fastRetransmits();
-            s.tcpRtos += t->rtoEvents();
-            s.tcpDupAcks += t->dupAcksRx();
-        }
-    }
-    for (const auto &st : stacks_) {
-        s.stackRxBytes += st->rxBytes();
-        s.rxDropsBadCsum += st->rxDropsBadCsum();
-        s.txBacklogPeak = std::max(s.txBacklogPeak, st->txBacklogPeak());
-        s.txBacklogNow += st->txBacklogDepth();
-        if (auto *t = st->tcp()) {
-            s.tcpRetrans += t->retransSegs();
-            s.tcpFastRtx += t->fastRetransmits();
-            s.tcpRtos += t->rtoEvents();
-            s.tcpDupAcks += t->dupAcksRx();
-        }
-    }
-    // Raw payload carried on the wire in the goodput direction: what
-    // the NIC ports injected (tx), or what the far peers injected /
-    // the NIC ports were delivered (rx).
-    for (std::size_t i = 0; i < nicPorts_.size(); ++i) {
-        if (cfg_.transmitDir)
-            s.wirePayload += nicPorts_[i]->payloadCarried();
-        else
-            s.wirePayload += peers_[i]
-                                 ? peers_[i]->port().payloadCarried()
-                                 : nicPorts_[i]->payloadDelivered();
-    }
-
-    s.perGuestBytes.assign(guests_.size(), 0);
-    for (std::size_t g = 0; g < guests_.size(); ++g) {
-        for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
-            // Plumbing is laid out NIC-major: index = nic*guests + guest.
-            std::size_t idx = static_cast<std::size_t>(i) * guests_.size() + g;
-            if (idx >= stacks_.size())
-                continue;
-            if (cfg_.transmitDir) {
-                if (!peers_[i])
-                    continue; // cross-host tx is measured at the receiver
-                auto mac = cfg_.mode == IoMode::kNative
-                               ? guestMac(0, i)
-                               : guestMac(static_cast<std::uint32_t>(g), i);
-                auto it = peers_[i]->receivedBySrc().find(mac);
-                if (it != peers_[i]->receivedBySrc().end())
-                    s.perGuestBytes[g] += it->second;
-            } else {
-                s.perGuestBytes[g] += stacks_[idx]->rxBytes();
-            }
-        }
-    }
-
-    if (driverDom_)
-        s.drvVirtIrqs = driverDom_->virtIrqCount();
-    for (const auto *g : guests_)
-        s.guestVirtIrqs += g->virtIrqCount();
-
-    std::uint64_t phys = 0;
-    for (const auto &n : intelNics_)
-        phys += n->irqCount();
-    for (const auto &n : cdnaNics_)
-        phys += n->irqCount();
-    s.physIrqs = phys;
-    s.hypercalls = hv_->hypercallCount();
-    s.switches = cpu_->domainSwitches();
-    s.faults = hv_->faultCount();
-    s.violations = mem_->violationCount();
-    for (const auto &n : intelNics_) {
-        s.rxDropsNoDesc += n->rxDropNoDesc();
-        s.rxDropsNoBuf += n->rxDropNoBuf();
-        s.rxDropsFilter += n->rxDropFilter();
-    }
-    for (const auto &n : cdnaNics_) {
-        s.rxDropsNoDesc += n->rxDropNoDesc();
-        s.rxDropsNoBuf += n->rxDropNoBuf();
-        s.rxDropsFilter += n->rxDropFilter();
-    }
-    if (faults_) {
-        s.faultFramesDropped = faults_->framesDropped();
-        s.faultFramesCorrupted = faults_->framesCorrupted();
-        s.faultFramesDuplicated = faults_->framesDuplicated();
-        s.faultDmaDelays = faults_->dmaDelays();
-        s.firmwareStalls = faults_->firmwareStalls();
-        s.guestKills = faults_->guestKills();
-        s.mailboxTimeouts = faults_->mailboxTimeouts();
-        s.ringResyncs = faults_->ringResyncs();
-        s.domKills = faults_->driverDomainKills();
-        s.fwReboots = faults_->firmwareReboots();
-        s.feReconnects = faults_->frontendReconnects();
-    }
-    const auto &grants = hv_->grants();
-    s.grantsRevoked = grants.revokedGrants();
-    s.pagesQuarantined = grants.quarantineAdmissions();
-    s.quarantineReleases = grants.quarantineReleases();
-    for (const auto &n : cdnaNics_) {
-        s.mailboxThrottled += n->mailboxThrottled();
-        s.cxtPageTraps += n->pageTraps();
-        s.cxtEvictions += n->pageEvictions();
-        s.cxtPageIns += n->pageIns();
-        s.cxtResidentPeak += n->residentPeak();
-    }
-    for (const auto &v : swptValidators_) {
-        s.swptDoorbellTraps += v->doorbellTraps();
-        s.swptDescValidated += v->descValidated();
-        s.swptDescRejected += v->descRejected();
-        s.swptValidationPs +=
-            static_cast<std::uint64_t>(v->validationTime());
-    }
-    for (const auto &d : ddns_) {
-        s.outagePacketsLost += d->outageRxDrops();
-        for (const auto &vif : d->vifs())
-            s.outagePacketsLost += vif->txLostCrash();
-    }
-    for (net::Port *np : nicPorts_) {
-        s.switchDrops += np->egressDrops();
-        s.switchDropBytes += np->egressDropBytes();
-        s.switchQueuePeak = std::max(s.switchQueuePeak,
-                                     np->queuePeakBytes());
-    }
-    return s;
-}
-
-Report
-System::run(sim::Time warmup, sim::Time measure)
-{
-    start();
-    auto &eq = ctx_.events();
-    eq.runUntil(eq.now() + warmup);
-    beginMeasurement();
-    eq.runUntil(eq.now() + measure);
-    return endMeasurement(measure);
-}
-
-void
-System::beginMeasurement()
-{
-    cpu_->resetAccounting();
-    measureBegin_ = snapshot();
-}
-
-Report
-System::endMeasurement(sim::Time window)
-{
-    cpu_->syncIdle();
-    return buildReport(measureBegin_, snapshot(), window);
-}
-
-Report
-System::buildReport(const Snapshot &a, const Snapshot &b, sim::Time window)
-{
-    Report r;
-    r.label = cfg_.effectiveLabel();
-    r.window = window;
-    double secs = sim::toSeconds(window);
-
-    std::uint64_t goodput_bytes = cfg_.transmitDir
-        ? b.peerRxPayload - a.peerRxPayload
-        : b.stackRxBytes - a.stackRxBytes;
-    r.mbps = static_cast<double>(goodput_bytes) * 8.0 / secs / 1.0e6;
-    r.wireMbps = static_cast<double>(b.wirePayload - a.wirePayload) * 8.0 /
-                 secs / 1.0e6;
-
-    const auto &prof = cpu_->profile();
-    auto pct = [&](sim::Time t) {
-        return 100.0 * static_cast<double>(t) /
-               static_cast<double>(window);
-    };
-    r.hypPct = pct(prof.hypervisor());
-    r.idlePct = pct(prof.idle());
-    if (driverDom_) {
-        r.drvOsPct = pct(prof.domainTime(driverDom_->id(),
-                                         cpu::Bucket::kOs));
-        r.drvUserPct = pct(prof.domainTime(driverDom_->id(),
-                                           cpu::Bucket::kUser));
-    }
-    for (const auto *g : guests_) {
-        r.guestOsPct += pct(prof.domainTime(g->id(), cpu::Bucket::kOs));
-        r.guestUserPct += pct(prof.domainTime(g->id(),
-                                              cpu::Bucket::kUser));
-    }
-
-    r.drvIntrPerSec =
-        static_cast<double>(b.drvVirtIrqs - a.drvVirtIrqs) / secs;
-    r.guestIntrPerSec =
-        static_cast<double>(b.guestVirtIrqs - a.guestVirtIrqs) / secs;
-    r.physIrqPerSec = static_cast<double>(b.physIrqs - a.physIrqs) / secs;
-    r.hypercallPerSec =
-        static_cast<double>(b.hypercalls - a.hypercalls) / secs;
-    r.domainSwitchPerSec =
-        static_cast<double>(b.switches - a.switches) / secs;
-    r.protectionFaults = b.faults - a.faults;
-    r.dmaViolations = b.violations - a.violations;
-    r.rxDropsNoDesc = b.rxDropsNoDesc - a.rxDropsNoDesc;
-    r.rxDropsNoBuf = b.rxDropsNoBuf - a.rxDropsNoBuf;
-    r.rxDropsFilter = b.rxDropsFilter - a.rxDropsFilter;
-    r.faultFramesDropped = b.faultFramesDropped - a.faultFramesDropped;
-    r.faultFramesCorrupted =
-        b.faultFramesCorrupted - a.faultFramesCorrupted;
-    r.faultFramesDuplicated =
-        b.faultFramesDuplicated - a.faultFramesDuplicated;
-    r.faultDmaDelays = b.faultDmaDelays - a.faultDmaDelays;
-    r.firmwareStalls = b.firmwareStalls - a.firmwareStalls;
-    r.guestKills = b.guestKills - a.guestKills;
-    r.mailboxTimeouts = b.mailboxTimeouts - a.mailboxTimeouts;
-    r.ringResyncs = b.ringResyncs - a.ringResyncs;
-    r.rxDropsBadCsum = b.rxDropsBadCsum - a.rxDropsBadCsum;
-    // The peak is a lifetime high-watermark, not a windowed delta.
-    r.txBacklogPeak = b.txBacklogPeak;
-    r.txBacklogNow = b.txBacklogNow;
-    r.tcpRetransSegs = b.tcpRetrans - a.tcpRetrans;
-    r.tcpFastRetransmits = b.tcpFastRtx - a.tcpFastRtx;
-    r.tcpRtoEvents = b.tcpRtos - a.tcpRtos;
-    r.tcpDupAcks = b.tcpDupAcks - a.tcpDupAcks;
-    r.driverDomainKills = b.domKills - a.domKills;
-    r.firmwareReboots = b.fwReboots - a.fwReboots;
-    r.feReconnects = b.feReconnects - a.feReconnects;
-    r.grantsRevoked = b.grantsRevoked - a.grantsRevoked;
-    r.pagesQuarantined = b.pagesQuarantined - a.pagesQuarantined;
-    r.quarantineReleased = b.quarantineReleases - a.quarantineReleases;
-    r.mailboxThrottled = b.mailboxThrottled - a.mailboxThrottled;
-    r.outagePacketsLost = b.outagePacketsLost - a.outagePacketsLost;
-    r.cxtPageTraps = b.cxtPageTraps - a.cxtPageTraps;
-    r.cxtEvictions = b.cxtEvictions - a.cxtEvictions;
-    r.cxtPageIns = b.cxtPageIns - a.cxtPageIns;
-    // Residency peak is a high-water mark over the whole run, not a
-    // windowed delta (like tx_backlog_peak).
-    r.cxtResidentPeak = b.cxtResidentPeak;
-    r.switchDrops = b.switchDrops - a.switchDrops;
-    r.switchDropBytes = b.switchDropBytes - a.switchDropBytes;
-    // Like the other peaks, a lifetime high-watermark.
-    r.switchQueuePeakBytes = b.switchQueuePeak;
-    r.swptDoorbellTraps = b.swptDoorbellTraps - a.swptDoorbellTraps;
-    r.swptDescValidated = b.swptDescValidated - a.swptDescValidated;
-    r.swptDescRejected = b.swptDescRejected - a.swptDescRejected;
-    r.swptValidationUs =
-        static_cast<double>(b.swptValidationPs - a.swptValidationPs) /
-        1.0e6;
-
-    r.perGuestMbps.resize(guests_.size());
-    for (std::size_t g = 0; g < guests_.size(); ++g) {
-        r.perGuestMbps[g] =
-            static_cast<double>(b.perGuestBytes[g] - a.perGuestBytes[g]) *
-            8.0 / secs / 1.0e6;
-    }
-
-    // Availability (absolute, not windowed: an outage is a property of
-    // the whole run).  Zero-filled without an outage fault plan.
-    r.perGuestDowntimeUs.assign(guests_.size(), 0.0);
-    r.perGuestTtfpUs.assign(guests_.size(), 0.0);
-    if (avail_) {
-        for (std::uint32_t g = 0; g < avail_->guests(); ++g) {
-            r.perGuestDowntimeUs[g] = avail_->downtimeUs(g);
-            r.perGuestTtfpUs[g] = avail_->ttfpUs(g);
-        }
-    }
-
-    // End-to-end latency: peers measure transmitted data, guest stacks
-    // measure received data.
-    sim::Histogram merged;
-    double lat_sum = 0.0;
-    std::uint64_t lat_n = 0;
-    if (cfg_.transmitDir) {
-        for (const auto &p : peers_) {
-            if (!p)
-                continue;
-            merged.merge(p->latencyHist());
-            lat_sum += p->latency().sum();
-            lat_n += p->latency().count();
-        }
-    } else {
-        for (const auto &st : stacks_) {
-            merged.merge(st->rxLatencyHist());
-            lat_sum += st->rxLatency().sum();
-            lat_n += st->rxLatency().count();
-        }
-    }
-    if (lat_n > 0) {
-        r.latencyMeanUs = lat_sum / static_cast<double>(lat_n);
-        r.latencyP50Us = static_cast<double>(merged.quantile(0.5));
-        r.latencyP99Us = static_cast<double>(merged.quantile(0.99));
-    }
-
-    // RPC activity: rates are windowed deltas; tail quantiles come
-    // from the engines' fine-grained cumulative histograms (like the
-    // data-frame latency above, they include warmup).
-    r.rpcRequests = b.rpcRequests - a.rpcRequests;
-    r.rpcResponses = b.rpcResponses - a.rpcResponses;
-    r.rpcTimeouts = b.rpcTimeouts - a.rpcTimeouts;
-    r.flowsStarted = b.flowsStarted - a.flowsStarted;
-    r.flowsCompleted = b.flowsCompleted - a.flowsCompleted;
-    r.rpcOfferedRps = static_cast<double>(r.rpcRequests) / secs;
-    r.rpcAchievedRps = static_cast<double>(r.rpcResponses) / secs;
-    sim::Histogram rpc_hist(net::workload::kRpcHistBuckets,
-                            net::workload::kRpcHistSubBits);
-    double rpc_sum = 0.0;
-    std::uint64_t rpc_n = 0;
-    for (const auto &p : peers_) {
-        if (!p)
-            continue;
-        if (const auto *e = p->engine()) {
-            rpc_hist.merge(e->rpcLatencyHist());
-            rpc_sum += e->rpcLatency().sum();
-            rpc_n += e->rpcLatency().count();
-        }
-    }
-    if (rpc_n > 0) {
-        r.rpcLatMeanUs = rpc_sum / static_cast<double>(rpc_n);
-        r.rpcLatP50Us = static_cast<double>(rpc_hist.quantile(0.5));
-        r.rpcLatP99Us = static_cast<double>(rpc_hist.quantile(0.99));
-        r.rpcLatP999Us = static_cast<double>(rpc_hist.quantile(0.999));
-    }
-    return r;
-}
-
 CdnaNic *
 System::cdnaNic(std::uint32_t i)
 {
-    return i < cdnaNics_.size() ? cdnaNics_[i].get() : nullptr;
+    return i < nics_.size() ? dynamic_cast<CdnaNic *>(nics_[i].get())
+                            : nullptr;
 }
 
 nic::IntelNic *
 System::intelNic(std::uint32_t i)
 {
-    return i < intelNics_.size() ? intelNics_[i].get() : nullptr;
+    return i < nics_.size() ? dynamic_cast<nic::IntelNic *>(nics_[i].get())
+                            : nullptr;
 }
 
 vmm::Domain *
@@ -999,9 +335,9 @@ void
 System::scheduleFaultEvents()
 {
     for (const auto &fs : cfg_.faults.firmwareStalls) {
-        if (fs.nic >= cdnaNics_.size())
+        CdnaNic *nic = cdnaNic(fs.nic);
+        if (!nic)
             continue; // no CDNA NIC with that index in this mode
-        CdnaNic *nic = cdnaNics_[fs.nic].get();
         ctx_.events().schedule(
             sim::milliseconds(fs.atMs), [this, nic, fs] {
                 faults_->noteFirmwareStall();
@@ -1036,80 +372,25 @@ System::setupAvailability()
     // Per-guest progress: any stack of guest g (on any NIC) moving
     // data end-to-end counts, which is what makes a CDNA guest with a
     // surviving path score zero downtime.
-    std::size_t per_nic = cfg_.mode == IoMode::kNative ? 1 : guests;
     for (std::size_t idx = 0; idx < stacks_.size(); ++idx) {
-        auto g = static_cast<std::uint32_t>(idx % per_nic);
+        auto g = static_cast<std::uint32_t>(idx % guests);
         stacks_[idx]->setProgressHook(
             [this, g] { avail_->noteProgress(g); });
     }
-
-    if (cfg_.mode == IoMode::kXen &&
-        !cfg_.faults.driverDomainKills.empty()) {
-        for (auto &ddn : ddns_) {
-            const auto &vifs = ddn->vifs();
-            for (std::size_t g = 0; g < vifs.size(); ++g) {
-                os::XenVif *vif = vifs[g].get();
-                vif->enableReconnect();
-                vif->setReconnectedHook(
-                    [this, g = static_cast<std::uint32_t>(g)]
-                    { avail_->noteRecovery(g); });
-            }
-        }
-    }
+    arch_->trackAvailability(*avail_);
 }
 
 bool
 System::killDriverDomain()
 {
-    if (!driverDom_ || driverDomainDown_ || cfg_.mode == IoMode::kNative)
+    if (!driverDom_ || driverDomainDown_)
         return false;
     driverDomainDown_ = true;
     if (faults_)
         faults_->noteDriverDomainKill();
     if (avail_)
-        for (std::uint32_t g = 0; g < avail_->guests(); ++g)
-            avail_->noteOutageStart(g);
-
-    if (cfg_.mode == IoMode::kXen) {
-        // The backends die with the domain; frontends detect it via
-        // their watchdogs and reconnect after the restart below.
-        for (auto &ddn : ddns_)
-            ddn->crash();
-        // dom0's qdisc (packets bridged but not yet posted) lived in
-        // the dead domain's memory, and the hypervisor quiesces the
-        // Intel TX engine -- a crashed domain's device must stop
-        // referencing pages it had grant-mapped.  RX keeps landing in
-        // device-owned buffers; the dead bridge discards it.
-        for (auto &nd : nativeDrivers_)
-            nd->dropQdisc();
-        for (auto &inic : intelNics_)
-            inic->quiesceTx();
-        // dom0's physical CDNA driver (the Xen/RiceNIC rows) dies too:
-        // its context is revoked and a fresh one is negotiated at
-        // restart.  The Intel native driver itself is modeled as
-        // surviving (its ring state lives in the NIC, not in dom0
-        // memory), so no ring renegotiation happens at restart.
-        for (std::size_t i = 0; i < drvDomCdnaDrivers_.size(); ++i) {
-            CdnaGuestDriver *drv = drvDomCdnaDrivers_[i].get();
-            CdnaNic::ContextId cxt = drv->context();
-            drv->detach();
-            cxtChannels_[i][cxt] = nullptr;
-            cdnaNics_[i]->revokeContext(cxt);
-            if (iommu_)
-                iommu_->unbindContext(static_cast<std::uint32_t>(i), cxt);
-        }
-    }
-    if (cfg_.mode == IoMode::kSwPassthrough) {
-        // The validator is the dom0-equivalent: descriptor auditing
-        // stops, so doorbells latch unprocessed, completions sit in the
-        // NIC, and the shared RX ring runs dry.  Everything drains at
-        // restart.
-        for (auto &v : swptValidators_)
-            v->stall();
-    }
-    // CDNA mode: guests drive their own contexts, so the kill has no
-    // datapath effect at all -- exactly the paper's failure-domain
-    // argument.
+        avail_->noteOutageStartAll();
+    arch_->driverDomainKilled();
 
     // Revoke every grant mapping the dead domain held.  Pages with DMA
     // possibly in flight sit in quarantine until the drain delay
@@ -1127,44 +408,7 @@ void
 System::restartDriverDomain()
 {
     driverDomainDown_ = false;
-    if (cfg_.mode == IoMode::kXen) {
-        for (std::size_t i = 0; i < drvDomCdnaDrivers_.size(); ++i) {
-            // Fresh context for the rebooted domain, then the driver
-            // re-attaches from scratch (mirrors buildXen).
-            CdnaNic &nic = *cdnaNics_[i];
-            CdnaGuestDriver *drv = drvDomCdnaDrivers_[i].get();
-            auto cxt = nic.allocContext(driverDom_->id(), drv->mac());
-            SIM_ASSERT(cxt.has_value(),
-                       "no context for restarted driver domain");
-            mem::PageNum txp = mem_->allocOne(driverDom_->id());
-            mem::PageNum rxp = mem_->allocOne(driverDom_->id());
-            mem::PageNum stp = mem_->allocOne(driverDom_->id());
-            nic.configureContextRings(*cxt, 256, mem::addrOf(txp), 256,
-                                      mem::addrOf(rxp));
-            nic.setStatusPage(*cxt, mem::addrOf(stp));
-            cxtChannels_[i][*cxt] = &hv_->createChannel(
-                *driverDom_, cfg_.costs.irqEntry,
-                [drv] { drv->handleIrq(); });
-            drv->rebind(*cxt);
-            drv->attach();
-            if (iommu_)
-                iommu_->bindContext(static_cast<std::uint32_t>(i), *cxt,
-                                    driverDom_->id());
-            nic.setPromiscuousContext(*cxt);
-        }
-        for (auto &ddn : ddns_)
-            ddn->restart();
-    }
-    if (cfg_.mode == IoMode::kSwPassthrough)
-        for (auto &v : swptValidators_)
-            v->restart();
-    if (avail_ && (cfg_.mode == IoMode::kCdna ||
-                   cfg_.mode == IoMode::kSwPassthrough)) {
-        // No reconnection protocol to wait for: the control plane is
-        // simply back.  (Xen guests note recovery at vif reconnect.)
-        for (std::uint32_t g = 0; g < avail_->guests(); ++g)
-            avail_->noteRecovery(g);
-    }
+    arch_->driverDomainRestarted();
     if (faults_)
         faults_->noteDriverDomainRestart();
 }
@@ -1172,61 +416,17 @@ System::restartDriverDomain()
 bool
 System::rebootNicFirmware(std::uint32_t nic)
 {
-    if (cfg_.mode == IoMode::kSwPassthrough) {
-        if (nic >= swptValidators_.size())
-            return false;
-        // Full device reset of the shared IntelNic: in-flight TX is
-        // dropped (attributed as zero-byte completions so guest TX
-        // windows recover) and the validator re-rings its shadow queue
-        // once the firmware is back.
-        if (faults_)
-            faults_->noteFirmwareReboot();
-        if (avail_)
-            for (std::uint32_t g = 0; g < avail_->guests(); ++g)
-                avail_->noteOutageStart(g);
-        swptValidators_[nic]->resetNic();
-        ctx_.events().schedule(cfg_.costs.firmwareReboot, [this, nic] {
-            swptValidators_[nic]->reconcileAfterReset();
-            if (avail_)
-                for (std::uint32_t g = 0; g < avail_->guests(); ++g)
-                    avail_->noteRecovery(g);
-        });
-        return true;
-    }
-    if (nic >= cdnaNics_.size())
-        return false; // no CDNA NIC with that index in this mode
-    if (avail_)
-        for (std::uint32_t g = 0; g < avail_->guests(); ++g)
-            avail_->noteOutageStart(g);
-    cdnaNics_[nic]->rebootFirmware(cfg_.costs.firmwareReboot,
-                                   cfg_.costs.fwRebootReconcilePerContext);
-    if (avail_) {
-        // Recovery point: the firmware is back up (context
-        // reconciliation adds microseconds on top).
-        ctx_.events().schedule(cfg_.costs.firmwareReboot, [this] {
-            for (std::uint32_t g = 0; g < avail_->guests(); ++g)
-                avail_->noteRecovery(g);
-        });
-    }
-    return true;
+    return arch_->rebootNicFirmware(nic);
 }
 
 bool
 System::killGuest(std::uint32_t guest)
 {
+    if (guest >= guests_.size())
+        return false;
     bool any = false;
-    if (cfg_.mode == IoMode::kSwPassthrough) {
-        for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
-            os::SwptDriver *drv = swptDriver(guest, i);
-            if (drv && !drv->detached()) {
-                drv->detach();
-                any = true;
-            }
-        }
-    } else {
-        for (std::uint32_t i = 0; i < cfg_.numNics; ++i)
-            any = revokeGuestContext(guest, i) || any;
-    }
+    for (std::uint32_t i = 0; i < cfg_.numNics; ++i)
+        any = arch_->revokeGuest(guest, i) || any;
     if (!any)
         return false;
     // Silence the dead guest's software: stop its workload, cancel
@@ -1237,11 +437,9 @@ System::killGuest(std::uint32_t guest)
         app(guest, i).stop();
         stack(guest, i).shutdown();
     }
-    if (guest < guests_.size()) {
-        auto id = static_cast<std::size_t>(guests_[guest]->id());
-        if (id < domainTimerStopped_.size())
-            domainTimerStopped_[id] = 1;
-    }
+    auto id = static_cast<std::size_t>(guests_[guest]->id());
+    if (id < domainTimerStopped_.size())
+        domainTimerStopped_[id] = 1;
     if (faults_)
         faults_->noteGuestKill();
     return true;
@@ -1250,107 +448,88 @@ System::killGuest(std::uint32_t guest)
 bool
 System::revokeGuestContext(std::uint32_t guest, std::uint32_t nic)
 {
-    CdnaGuestDriver *drv = cdnaDriver(guest, nic);
-    if (!drv || drv->detached() || nic >= cdnaNics_.size())
-        return false;
-    CdnaNic::ContextId cxt = drv->context();
-    drv->detach();
-    cxtChannels_[nic][cxt] = nullptr;
-    cdnaNics_[nic]->revokeContext(cxt);
-    if (iommu_ && cfg_.iommuMode == mem::Iommu::Mode::kPerContext)
-        iommu_->unbindContext(nic, cxt);
-    return true;
+    return hasSlot(guest, nic) && arch_->revokeGuest(guest, nic);
 }
 
 vmm::SwptValidator *
 System::swptValidator(std::uint32_t i)
 {
-    return i < swptValidators_.size() ? swptValidators_[i].get()
-                                      : nullptr;
+    return arch_->swptValidator(i);
 }
 
 os::SwptDriver *
 System::swptDriver(std::uint32_t guest, std::uint32_t nic)
 {
-    // NIC-major layout: index = nic * numGuests + guest.
-    std::size_t idx =
-        static_cast<std::size_t>(nic) * cfg_.numGuests + guest;
-    return idx < swptDrivers_.size() ? swptDrivers_[idx].get() : nullptr;
+    return hasSlot(guest, nic)
+               ? dynamic_cast<os::SwptDriver *>(&stack(guest, nic).device())
+               : nullptr;
 }
 
 CdnaGuestDriver *
 System::cdnaDriver(std::uint32_t guest, std::uint32_t nic)
 {
-    // NIC-major layout: index = nic * numGuests + guest.
-    std::size_t idx =
-        static_cast<std::size_t>(nic) * cfg_.numGuests + guest;
-    return idx < guestCdnaDrivers_.size() ? guestCdnaDrivers_[idx].get()
-                                          : nullptr;
+    return hasSlot(guest, nic)
+               ? dynamic_cast<CdnaGuestDriver *>(&stack(guest, nic).device())
+               : nullptr;
 }
 
 os::NetStack &
 System::stack(std::uint32_t guest, std::uint32_t nic)
 {
-    std::size_t per_nic = cfg_.mode == IoMode::kNative ? 1 : cfg_.numGuests;
-    return *stacks_.at(static_cast<std::size_t>(nic) * per_nic + guest);
+    if (!hasSlot(guest, nic))
+        throw std::out_of_range("System::stack: no such guest/NIC");
+    return *stacks_[slot(guest, nic)];
 }
 
 workload::TrafficApp &
 System::app(std::uint32_t guest, std::uint32_t nic)
 {
-    std::size_t per_nic = cfg_.mode == IoMode::kNative ? 1 : cfg_.numGuests;
-    return *apps_.at(static_cast<std::size_t>(nic) * per_nic + guest);
+    if (!hasSlot(guest, nic))
+        throw std::out_of_range("System::app: no such guest/NIC");
+    return *apps_[slot(guest, nic)];
 }
+
+namespace {
+
+SystemConfig
+inMode(IoMode mode, std::uint32_t guests)
+{
+    SystemConfig cfg;
+    cfg.mode = mode;
+    cfg.numGuests = guests;
+    return cfg;
+}
+
+} // namespace
 
 SystemConfig
 SystemConfig::native(std::uint32_t nics)
 {
-    SystemConfig cfg;
-    cfg.mode = IoMode::kNative;
-    cfg.nicKind = NicKind::kIntel;
-    cfg.numGuests = 1;
-    cfg.numNics = nics;
-    return cfg;
+    return inMode(IoMode::kNative, 1).withNics(nics);
 }
 
 SystemConfig
 SystemConfig::xenIntel(std::uint32_t guests)
 {
-    SystemConfig cfg;
-    cfg.mode = IoMode::kXen;
-    cfg.nicKind = NicKind::kIntel;
-    cfg.numGuests = guests;
-    return cfg;
+    return inMode(IoMode::kXenIntel, guests);
 }
 
 SystemConfig
 SystemConfig::xenRice(std::uint32_t guests)
 {
-    SystemConfig cfg;
-    cfg.mode = IoMode::kXen;
-    cfg.nicKind = NicKind::kRice;
-    cfg.numGuests = guests;
-    return cfg;
+    return inMode(IoMode::kXenRice, guests);
 }
 
 SystemConfig
 SystemConfig::cdna(std::uint32_t guests)
 {
-    SystemConfig cfg;
-    cfg.mode = IoMode::kCdna;
-    cfg.nicKind = NicKind::kRice;
-    cfg.numGuests = guests;
-    return cfg;
+    return inMode(IoMode::kCdna, guests);
 }
 
 SystemConfig
 SystemConfig::swPassthrough(std::uint32_t guests)
 {
-    SystemConfig cfg;
-    cfg.mode = IoMode::kSwPassthrough;
-    cfg.nicKind = NicKind::kIntel;
-    cfg.numGuests = guests;
-    return cfg;
+    return inMode(IoMode::kSwPassthrough, guests);
 }
 
 std::string
@@ -1363,8 +542,11 @@ SystemConfig::effectiveLabel() const
       case IoMode::kNative:
         base = "native";
         break;
-      case IoMode::kXen:
-        base = nicKind == NicKind::kIntel ? "xen-intel" : "xen-ricenic";
+      case IoMode::kXenIntel:
+        base = "xen-intel";
+        break;
+      case IoMode::kXenRice:
+        base = "xen-ricenic";
         break;
       case IoMode::kCdna:
         base = "cdna";

@@ -3,23 +3,12 @@
  * Whole-system assembly: the public entry point of the library.
  *
  * A System instantiates the paper's testbed in one of four I/O
- * architectures:
- *
- *  - kNative: one OS owning the NICs directly (Table 1 baseline);
- *  - kXen:    driver domain + software multiplexing through the bridge
- *             and paravirtual split drivers (sections 2.1-2.2), over
- *             either the Intel NIC (TSO) or a CDNA NIC with a single
- *             context assigned to the driver domain (the Xen/RiceNIC
- *             rows of Tables 2-3);
- *  - kCdna:   each guest owns a private hardware context on every NIC
- *             (section 3), with DMA protection on or off (Table 4) and
- *             optional IOMMU modes (section 5.3);
- *  - kSwPassthrough: software-only passthrough (Kedia & Bansal's
- *             competing design point): guests program real Intel-style
- *             descriptor rings, every doorbell traps into a hypervisor
- *             validator (vmm/swpt_validator.hh) that audits and
- *             shadow-copies descriptors onto ONE shared single-context
- *             IntelNic, with software RX demux by destination MAC.
+ * architectures -- native Linux, Xen (over the Intel NIC or the
+ * RiceNIC), CDNA, and software passthrough -- each in its own file
+ * behind the IoArch seam (core/io_arch.hh), which also picks the NIC
+ * model.  System itself only composes what they all share: CPU,
+ * hypervisor, memory, NICs, buses and links/peers, guest stacks and
+ * apps, timers, gauges, availability and fault scheduling.
  *
  * Usage:
  *   core::SystemConfig cfg;
@@ -39,40 +28,28 @@
 #include <string>
 #include <vector>
 
-#include "core/availability.hh"
-#include "core/cdna_driver.hh"
-#include "core/cdna_nic.hh"
-#include "core/context_pager.hh"
 #include "core/cost_model.hh"
-#include "core/dma_protection.hh"
 #include "core/fault_plan.hh"
-#include "core/report.hh"
+#include "core/io_arch.hh"
 #include "mem/grant_table.hh"
 #include "mem/iommu.hh"
 #include "sim/metrics_registry.hh"
 #include "net/eth_link.hh"
 #include "net/traffic_peer.hh"
 #include "nic/intel_nic.hh"
-#include "os/native_driver.hh"
 #include "os/net_stack.hh"
-#include "os/swpt_driver.hh"
-#include "os/xen_net.hh"
 #include "vmm/hypervisor.hh"
-#include "vmm/swpt_validator.hh"
 #include "workload/traffic_app.hh"
 
 namespace cdna::core {
 
-/** I/O virtualization architecture under test. */
-enum class IoMode { kNative, kXen, kCdna, kSwPassthrough };
+/** I/O virtualization architecture under test (Xen names its NIC). */
+enum class IoMode { kNative, kXenIntel, kXenRice, kCdna, kSwPassthrough };
 
 /** Transport model aliases, so configs read as `.transport(kTcp)`. */
 using net::transport::TransportKind;
 inline constexpr TransportKind kOpenLoop = TransportKind::kOpenLoop;
 inline constexpr TransportKind kTcp = TransportKind::kTcp;
-
-/** Physical NIC model. */
-enum class NicKind { kIntel, kRice };
 
 /**
  * System configuration.
@@ -90,7 +67,6 @@ enum class NicKind { kIntel, kRice };
 struct SystemConfig
 {
     IoMode mode = IoMode::kCdna;
-    NicKind nicKind = NicKind::kRice;
     std::uint32_t numGuests = 1;
     std::uint32_t numNics = 2;
     /** Hypervisor DMA protection + NIC seqno checks (CDNA). */
@@ -369,13 +345,12 @@ class System
     vmm::Hypervisor &hv() { return *hv_; }
     mem::PhysMemory &mem() { return *mem_; }
     mem::Iommu *iommu() { return iommu_.get(); }
-    DmaProtection *protection() { return prot_.get(); }
+    DmaProtection *protection() { return arch_->protection(); }
     const SystemConfig &config() const { return cfg_; }
 
     std::uint32_t nicCount() const
     {
-        return static_cast<std::uint32_t>(
-            std::max(cdnaNics_.size(), intelNics_.size()));
+        return static_cast<std::uint32_t>(nics_.size());
     }
     CdnaNic *cdnaNic(std::uint32_t i);
 
@@ -383,7 +358,7 @@ class System
     ContextPager *
     contextPager(std::uint32_t i)
     {
-        return i < pagers_.size() ? pagers_[i].get() : nullptr;
+        return arch_->contextPager(i);
     }
 
     vmm::Hypervisor &hypervisor() { return *hv_; }
@@ -401,6 +376,8 @@ class System
     net::Fabric &nicFabric(std::uint32_t i) { return *extFabrics_[i]; }
     /** MAC address of (guest, nic), offset into this host's MAC block. */
     net::MacAddr guestMac(std::uint32_t guest, std::uint32_t nic) const;
+    /** MAC address of the driver domain's interface on @p nic. */
+    net::MacAddr driverMac(std::uint32_t nic) const;
 
     vmm::Domain *driverDomain() { return driverDom_; }
     vmm::Domain *guestDomain(std::uint32_t g);
@@ -416,7 +393,8 @@ class System
      * 3.1): the driver is detached (its DMA pins dropped, making the
      * guest's pages reclaimable), pending NIC operations for the
      * context are shut down, and the context slot becomes reusable.
-     * CDNA mode only.
+     * In swPassthrough mode the guest's validator port is detached
+     * instead (see killGuest()).  CDNA and swPassthrough modes.
      * @retval true the context existed and was revoked
      */
     bool revokeGuestContext(std::uint32_t guest, std::uint32_t nic);
@@ -432,7 +410,8 @@ class System
      * guest stops, while pages referenced by descriptors already on
      * the NIC stay pinned until the device consumes them.  CDNA and
      * swPassthrough modes.
-     * @retval true at least one context/port was revoked
+     * @retval true at least one context/port was revoked (false for a
+     *         guest that does not exist)
      */
     bool killGuest(std::uint32_t guest);
 
@@ -447,7 +426,8 @@ class System
      * Under swPassthrough the dom0-equivalent is the validator itself:
      * it stalls (doorbells latch unprocessed, the shared NIC's RX ring
      * runs dry) until the reboot delay passes and it restarts.
-     * @retval true the fault applied (false in native mode / already down)
+     * @retval true the fault applied (false without a driver domain, as
+     *         in native mode, or when it is already down)
      */
     bool killDriverDomain();
     bool driverDomainDown() const { return driverDomainDown_; }
@@ -470,66 +450,13 @@ class System
     /** Fault injector, or null when the fault plan is empty. */
     sim::FaultInjector *faultInjector() { return faults_.get(); }
 
+    /** @throws std::out_of_range for a guest or NIC that does not exist */
     os::NetStack &stack(std::uint32_t guest, std::uint32_t nic);
+    /** @throws std::out_of_range for a guest or NIC that does not exist */
     workload::TrafficApp &app(std::uint32_t guest, std::uint32_t nic);
 
   private:
-    struct Snapshot
-    {
-        std::uint64_t peerRxPayload = 0;
-        std::uint64_t stackRxBytes = 0;
-        std::uint64_t wirePayload = 0; //!< raw link payload, goodput dir
-        std::uint64_t rxDropsBadCsum = 0;
-        std::uint64_t txBacklogPeak = 0;
-        std::uint64_t txBacklogNow = 0;
-        std::uint64_t tcpRetrans = 0;
-        std::uint64_t tcpFastRtx = 0;
-        std::uint64_t tcpRtos = 0;
-        std::uint64_t tcpDupAcks = 0;
-        std::vector<std::uint64_t> perGuestBytes;
-        std::uint64_t drvVirtIrqs = 0;
-        std::uint64_t guestVirtIrqs = 0;
-        std::uint64_t physIrqs = 0;
-        std::uint64_t hypercalls = 0;
-        std::uint64_t switches = 0;
-        std::uint64_t faults = 0;
-        std::uint64_t violations = 0;
-        std::uint64_t rxDropsNoDesc = 0;
-        std::uint64_t rxDropsNoBuf = 0;
-        std::uint64_t rxDropsFilter = 0;
-        std::uint64_t faultFramesDropped = 0;
-        std::uint64_t faultFramesCorrupted = 0;
-        std::uint64_t faultFramesDuplicated = 0;
-        std::uint64_t faultDmaDelays = 0;
-        std::uint64_t firmwareStalls = 0;
-        std::uint64_t guestKills = 0;
-        std::uint64_t mailboxTimeouts = 0;
-        std::uint64_t ringResyncs = 0;
-        std::uint64_t domKills = 0;
-        std::uint64_t fwReboots = 0;
-        std::uint64_t feReconnects = 0;
-        std::uint64_t grantsRevoked = 0;
-        std::uint64_t pagesQuarantined = 0;
-        std::uint64_t quarantineReleases = 0;
-        std::uint64_t mailboxThrottled = 0;
-        std::uint64_t outagePacketsLost = 0;
-        std::uint64_t cxtPageTraps = 0;
-        std::uint64_t cxtEvictions = 0;
-        std::uint64_t cxtPageIns = 0;
-        std::uint64_t cxtResidentPeak = 0;
-        std::uint64_t switchDrops = 0;
-        std::uint64_t switchDropBytes = 0;
-        std::uint64_t switchQueuePeak = 0;
-        std::uint64_t rpcRequests = 0;
-        std::uint64_t rpcResponses = 0;
-        std::uint64_t rpcTimeouts = 0;
-        std::uint64_t flowsStarted = 0;
-        std::uint64_t flowsCompleted = 0;
-        std::uint64_t swptDoorbellTraps = 0;
-        std::uint64_t swptDescValidated = 0;
-        std::uint64_t swptDescRejected = 0;
-        std::uint64_t swptValidationPs = 0;
-    };
+    friend class IoArch; // builds domains and guest plumbing
 
     System(SystemConfig cfg, sim::SimContext *shared,
            std::vector<net::Fabric *> nic_fabrics);
@@ -539,11 +466,18 @@ class System
     void setupAvailability();
     void restartDriverDomain();
     void registerGauges();
-    void buildNative();
-    void buildXen();
-    void buildCdna();
-    void buildSwpt();
-    void wireCdnaIsr(std::uint32_t nic_index);
+    /** Network stack + traffic app for guest @p g over @p dev on @p nic. */
+    void plumbGuest(std::uint32_t g, std::uint32_t nic, os::NetDevice &dev);
+    /** True when (guest, nic) names a guest this system built. */
+    bool hasSlot(std::uint32_t guest, std::uint32_t nic) const
+    {
+        return guest < guests_.size() && nic < cfg_.numNics;
+    }
+    /** Index of (guest, nic) in the NIC-major per-guest tables. */
+    std::size_t slot(std::uint32_t guest, std::uint32_t nic) const
+    {
+        return static_cast<std::size_t>(nic) * guests_.size() + guest;
+    }
     void startTimers();
     /** @p base prefixed with cfg_.namePrefix (shared-context naming). */
     std::string nm(const std::string &base) const
@@ -566,38 +500,23 @@ class System
     std::unique_ptr<cpu::SimCpu> cpu_;
     std::unique_ptr<vmm::Hypervisor> hv_;
     std::unique_ptr<mem::Iommu> iommu_;
-    std::unique_ptr<DmaProtection> prot_;
 
     std::vector<std::unique_ptr<mem::PciBus>> buses_;
     // Local-link plumbing; entry i is null when NIC i rides an external
     // fabric (the topology builder owns the switch and remote peers).
     std::vector<std::unique_ptr<net::EthLink>> links_;
     std::vector<std::unique_ptr<net::TrafficPeer>> peers_;
-    std::vector<net::Port *> nicPorts_;
-    std::vector<std::unique_ptr<nic::IntelNic>> intelNics_;
-    std::vector<std::unique_ptr<CdnaNic>> cdnaNics_;
+    // One NIC per index, all of the model the architecture drives.
+    std::vector<std::unique_ptr<nic::NicBase>> nics_;
 
     vmm::Domain *driverDom_ = nullptr;
     std::vector<vmm::Domain *> guests_;
 
-    // Xen path
-    std::vector<std::unique_ptr<os::NativeDriver>> nativeDrivers_;
-    std::vector<std::unique_ptr<CdnaGuestDriver>> drvDomCdnaDrivers_;
-    std::vector<std::unique_ptr<os::DriverDomainNet>> ddns_;
+    // The architecture's own components (drivers, backends, validators);
+    // declared after the NICs it drives and before the stacks on top.
+    std::unique_ptr<IoArch> arch_;
 
-    // CDNA path: per-NIC channel table indexed by (virtual) context id
-    std::vector<std::vector<vmm::EventChannel *>> cxtChannels_;
-    // Per-NIC context pagers (oversubscription only; else empty).
-    std::vector<std::unique_ptr<ContextPager>> pagers_;
-    std::vector<std::unique_ptr<CdnaGuestDriver>> guestCdnaDrivers_;
-
-    // swPassthrough path: one validator per NIC, one driver per
-    // (guest, nic) in the same NIC-major order as guestDevs_.
-    std::vector<std::unique_ptr<vmm::SwptValidator>> swptValidators_;
-    std::vector<std::unique_ptr<os::SwptDriver>> swptDrivers_;
-
-    // Per (guest, nic) plumbing; NIC-major: index = nic * guests + guest.
-    std::vector<os::NetDevice *> guestDevs_;
+    // Per (guest, nic) plumbing; NIC-major: index = slot(guest, nic).
     std::vector<std::unique_ptr<os::NetStack>> stacks_;
     std::vector<std::unique_ptr<workload::TrafficApp>> apps_;
 

@@ -57,10 +57,10 @@ TEST(Cli, DefaultsAreCdnaTransmit)
 TEST(Cli, ModeSelection)
 {
     EXPECT_EQ(parse({"--mode", "native"})->config.mode, IoMode::kNative);
-    EXPECT_EQ(parse({"--mode", "xen"})->config.mode, IoMode::kXen);
+    EXPECT_EQ(parse({"--mode", "xen"})->config.mode, IoMode::kXenIntel);
     EXPECT_EQ(parse({"--mode", "cdna"})->config.mode, IoMode::kCdna);
-    EXPECT_EQ(parse({"--mode", "xen", "--nic", "rice"})->config.nicKind,
-              NicKind::kRice);
+    EXPECT_EQ(parse({"--mode", "xen", "--nic", "rice"})->config.mode,
+              IoMode::kXenRice);
     std::string err;
     EXPECT_FALSE(parse({"--mode", "vmware"}, &err).has_value());
     EXPECT_NE(err.find("--mode"), std::string::npos);
@@ -121,6 +121,25 @@ TEST(Cli, ErrorsAreReported)
     EXPECT_FALSE(parse({"--direction", "sideways"}, &err).has_value());
     EXPECT_FALSE(parse({"--nonsense"}, &err).has_value());
     EXPECT_NE(err.find("--nonsense"), std::string::npos);
+    // Fault targets must exist: guest indexes are checked against
+    // --guests and NIC indexes against --nics.
+    EXPECT_FALSE(parse({"--guests", "2", "--kill-guest", "2@10"}, &err)
+                     .has_value());
+    EXPECT_NE(err.find("--kill-guest"), std::string::npos);
+    EXPECT_FALSE(parse({"--nics", "1", "--reboot-firmware", "1@10"}, &err)
+                     .has_value());
+    EXPECT_NE(err.find("--reboot-firmware"), std::string::npos);
+    EXPECT_FALSE(parse({"--firmware-stall", "2@10:1"}, &err).has_value());
+    EXPECT_NE(err.find("--firmware-stall"), std::string::npos);
+    // ... also when the directive comes from a plan file.
+    std::string path = tempPath("cli_bad_plan.txt");
+    {
+        std::ofstream f(path);
+        f << "kill-guest 1@30\n";
+    }
+    EXPECT_FALSE(parse({"--fault-plan", path.c_str()}, &err).has_value());
+    std::remove(path.c_str());
+    EXPECT_NE(err.find("--kill-guest"), std::string::npos);
 }
 
 // ----------------------------------------------------- option table ----
@@ -164,7 +183,7 @@ TEST(CliFault, FaultFlagsBuildPlan)
     auto opt = parse({"--drop-rate", "0.01", "--corrupt-rate=0.002",
                       "--dup-rate", "0.001", "--dma-delay-rate", "0.05",
                       "--dma-delay-us", "30", "--firmware-stall", "0@20:5",
-                      "--kill-guest", "1@40"});
+                      "--guests", "2", "--kill-guest", "1@40"});
     ASSERT_TRUE(opt.has_value());
     const FaultPlan &p = opt->config.faults;
     EXPECT_FALSE(p.empty());
@@ -314,7 +333,7 @@ TEST(Cli, EqualsFormAccepted)
     ASSERT_TRUE(opt.has_value());
     EXPECT_EQ(opt->traceFile, "out.json");
     EXPECT_EQ(opt->config.numGuests, 4u);
-    EXPECT_EQ(opt->config.mode, IoMode::kXen);
+    EXPECT_EQ(opt->config.mode, IoMode::kXenIntel);
     EXPECT_EQ(opt->statsJsonFile, "s.json");
 }
 

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/system.hh"
 
 using namespace cdna;
@@ -172,4 +174,26 @@ TEST_F(RevocationFixture, XenModeHasNoContextsToRevoke)
     sys.start();
     sys.ctx().events().runUntil(sim::milliseconds(5));
     EXPECT_FALSE(sys.revokeGuestContext(0, 0));
+}
+
+TEST_F(RevocationFixture, OutOfRangeGuestRevokesNothing)
+{
+    // Per-(guest, nic) components are laid out NIC-major, so an
+    // unchecked guest index past the last guest aliases another NIC's
+    // slot: guest 2 on NIC 0 of a 2-guest system would be guest 0's
+    // driver on NIC 1.
+    SystemConfig cfg = SystemConfig::cdna(2);
+    ASSERT_EQ(cfg.numNics, 2u);
+    System sys(cfg);
+    sys.start();
+    sys.ctx().events().runUntil(sim::milliseconds(5));
+
+    EXPECT_EQ(sys.cdnaDriver(2, 0), nullptr);
+    EXPECT_FALSE(sys.revokeGuestContext(2, 0));
+    EXPECT_FALSE(sys.killGuest(2));
+    for (std::uint32_t g = 0; g < 2; ++g)
+        for (std::uint32_t n = 0; n < 2; ++n)
+            EXPECT_FALSE(sys.cdnaDriver(g, n)->detached()) << g << "." << n;
+    EXPECT_THROW(sys.stack(2, 0), std::out_of_range);
+    EXPECT_THROW(sys.app(2, 0), std::out_of_range);
 }

@@ -518,7 +518,22 @@ TEST(TcpGolden, HeadlineConfigsUnchangedWithTransportOff)
         {"headline-cdna-rice-tx.json", core::SystemConfig::cdna(1)},
         {"headline-cdna-rice-rx.json", core::SystemConfig::cdna(1).receive()},
     };
-    for (auto &c : cfgs) {
+    // Pins for the architectures and fault paths the paper configs do
+    // not reach: native, software passthrough, and a Xen/RiceNIC driver-
+    // domain crash (dom0's CDNA context revoked and renegotiated).
+    const std::size_t paper_cfgs = cfgs.size();
+    cfgs.push_back({"arch-native-tx.json", core::SystemConfig::native()});
+    cfgs.push_back(
+        {"arch-native-rx.json", core::SystemConfig::native().receive()});
+    cfgs.push_back(
+        {"arch-swpt2-tx.json", core::SystemConfig::swPassthrough(2)});
+    cfgs.push_back({"arch-swpt2-rx.json",
+                    core::SystemConfig::swPassthrough(2).receive()});
+    cfgs.push_back({"arch-xen-rice2-dom0kill.json",
+                    core::SystemConfig::xenRice(2).withFaults(
+                        core::FaultPlan{}.killingDriverDomain(60))});
+    for (std::size_t ci = 0; ci < cfgs.size(); ++ci) {
+        auto &c = cfgs[ci];
         std::string golden =
             readFile(std::string(CDNA_GOLDEN_DIR) + "/" + c.file);
         ASSERT_FALSE(golden.empty()) << c.file;
@@ -533,6 +548,8 @@ TEST(TcpGolden, HeadlineConfigsUnchangedWithTransportOff)
             EXPECT_NE(json.find(line), std::string::npos)
                 << c.file << ": missing line: " << line;
         }
+        if (ci >= paper_cfgs)
+            continue;
         // Schema 3 appended the failure-domain counters and the
         // availability arrays, schema 4 the context-paging counters,
         // schema 5 the switch-fabric counters, schema 6 the

@@ -119,12 +119,6 @@ class CdnaArch final : public IoArch
         return true;
     }
 
-    void
-    addCounters(Snapshot &s) const override
-    {
-        cdna_->addCounters(s.totals);
-    }
-
     DmaProtection *protection() override { return &cdna_->protection(); }
 
     ContextPager *

@@ -8,8 +8,9 @@ namespace cdna::core {
 
 CdnaContexts::CdnaContexts(System &sys, bool protect)
     : sys_(sys),
-      prot_(std::make_unique<DmaProtection>(sys.ctx(), sys.hv(),
-                                            sys.config().costs, protect))
+      prot_(std::make_unique<DmaProtection>(
+          sys.ctx(), sys.hv(), sys.config().costs, protect,
+          sys.config().namePrefix + "dma-protection"))
 {
     for (std::uint32_t i = 0; i < sys.config().numNics; ++i)
         channels_.emplace_back(
@@ -116,19 +117,6 @@ CdnaContexts::rebootFirmware(std::uint32_t i)
         });
     }
     return true;
-}
-
-void
-CdnaContexts::addCounters(Report &totals) const
-{
-    for (std::uint32_t i = 0; i < sys_.config().numNics; ++i) {
-        const CdnaNic &n = *sys_.cdnaNic(i);
-        totals.mailboxThrottled += n.mailboxThrottled();
-        totals.cxtPageTraps += n.pageTraps();
-        totals.cxtEvictions += n.pageEvictions();
-        totals.cxtPageIns += n.pageIns();
-        totals.cxtResidentPeak += n.residentPeak();
-    }
 }
 
 } // namespace cdna::core

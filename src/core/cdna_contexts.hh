@@ -64,9 +64,6 @@ class CdnaContexts
     /** Reboot NIC @p i's firmware; false when there is no such NIC. */
     bool rebootFirmware(std::uint32_t i);
 
-    /** Add the NICs' mailbox-throttling and context-paging counters. */
-    void addCounters(Report &totals) const;
-
   private:
     System &sys_;
     std::unique_ptr<DmaProtection> prot_;

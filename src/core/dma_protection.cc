@@ -7,8 +7,9 @@
 namespace cdna::core {
 
 DmaProtection::DmaProtection(sim::SimContext &ctx, vmm::Hypervisor &hv,
-                             const CostModel &costs, bool enabled)
-    : sim::SimObject(ctx, "dma-protection"),
+                             const CostModel &costs, bool enabled,
+                             std::string name)
+    : sim::SimObject(ctx, std::move(name)),
       hv_(hv),
       costs_(costs),
       enabled_(enabled),

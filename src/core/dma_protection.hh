@@ -63,7 +63,8 @@ class DmaProtection : public sim::SimObject
     };
 
     DmaProtection(sim::SimContext &ctx, vmm::Hypervisor &hv,
-                  const CostModel &costs, bool enabled);
+                  const CostModel &costs, bool enabled,
+                  std::string name = "dma-protection");
 
     bool enabled() const { return enabled_; }
 

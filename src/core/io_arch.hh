@@ -15,13 +15,14 @@
  *    exactly the point in System's construction where the components'
  *    order fixes event sequence numbers and stat names;
  *  - what a driver-domain kill and restart, a firmware reboot and a
- *    guest kill do to the datapath;
- *  - the counters only this architecture keeps.
+ *    guest kill do to the datapath.
  *
- * System calls it at construction, at fault events and at snapshots,
- * never per packet.  Everything shared -- CPU, hypervisor, memory, NICs,
- * links and peers, guest stacks and apps, timers, gauges, availability
- * and fault scheduling -- stays in System.
+ * System calls it at construction and at fault events, never per
+ * packet.  Everything shared -- CPU, hypervisor, memory, NICs, links
+ * and peers, guest stacks and apps, timers, gauges, availability, fault
+ * scheduling and the measurement window -- stays in System.  The
+ * architecture's components count their own events in their stats,
+ * which is where the measurement window reads them.
  */
 
 #ifndef CDNA_CORE_IO_ARCH_HH
@@ -35,7 +36,6 @@
 #include "core/availability.hh"
 #include "core/cdna_driver.hh"
 #include "core/context_pager.hh"
-#include "core/report.hh"
 #include "os/swpt_driver.hh"
 
 namespace cdna::core {
@@ -45,27 +45,6 @@ struct SystemConfig;
 
 /** Physical NIC model an architecture drives. */
 enum class NicModel { kIntel, kCdna };
-
-/**
- * Every counter a Report needs, at one instant (System::snapshot()); a
- * window's Report is the difference of two.  The Report's counters hold
- * running totals and its peaks their current value; the other fields
- * are the raw inputs to its rates.
- */
-struct Snapshot
-{
-    Report totals;
-    std::uint64_t peerRxPayload = 0;
-    std::uint64_t stackRxBytes = 0;
-    std::uint64_t wirePayload = 0; //!< raw link payload, goodput dir
-    std::vector<std::uint64_t> perGuestBytes;
-    std::uint64_t drvVirtIrqs = 0;
-    std::uint64_t guestVirtIrqs = 0;
-    std::uint64_t physIrqs = 0;
-    std::uint64_t hypercalls = 0;
-    std::uint64_t switches = 0;
-    sim::Time swptValidation = 0;
-};
 
 class IoArch
 {
@@ -104,9 +83,6 @@ class IoArch
     virtual bool rebootNicFirmware(std::uint32_t) { return false; }
     /** Revoke @p guest's datapath on @p nic; false if none was live. */
     virtual bool revokeGuest(std::uint32_t, std::uint32_t) { return false; }
-
-    /** Add the counters only this architecture keeps. */
-    virtual void addCounters(Snapshot &) const {}
 
     // --- component access (tests, examples, ablations) -------------------
     virtual DmaProtection *protection() { return nullptr; }

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <unordered_map>
+#include <utility>
+
+#include "sim/stats.hh"
 
 namespace cdna::core {
 
@@ -94,17 +98,18 @@ Report::fairness() const
 }
 
 // Table-row shorthands: a double metric, an integer counter windowed
-// over the measurement (exact in a double far past any window's count),
-// an integer level or peak, and a per-guest array.
+// over the measurement (exact in a double far past any window's count)
+// with the stats it sums, an integer level or peak, and a per-guest
+// array.
 #define CDNA_REAL(key, expr)                                              \
     {key, "%.4f", [](const Report &r) { return r.expr; }}
 #define CDNA_LEVEL(key, field)                                            \
     {key, "%.0f",                                                         \
      [](const Report &r) { return static_cast<double>(r.field); }}
-#define CDNA_COUNT(key, field)                                            \
+#define CDNA_COUNT(key, field, source)                                    \
     {key, "%.0f",                                                         \
      [](const Report &r) { return static_cast<double>(r.field); },        \
-     nullptr, &Report::field}
+     nullptr, &Report::field, source}
 #define CDNA_LIST(key, field, fmt)                                        \
     {key, fmt, nullptr,                                                   \
      [](const Report &r) -> const std::vector<double> & {                 \
@@ -139,49 +144,56 @@ reportColumns()
         CDNA_REAL("rpc_offered_rps", rpcOfferedRps),
         CDNA_REAL("rpc_achieved_rps", rpcAchievedRps),
         CDNA_REAL("swpt_validation_us", swptValidationUs),
-        CDNA_COUNT("protection_faults", protectionFaults),
-        CDNA_COUNT("dma_violations", dmaViolations),
-        CDNA_COUNT("rx_drops_no_desc", rxDropsNoDesc),
-        CDNA_COUNT("rx_drops_no_buf", rxDropsNoBuf),
-        CDNA_COUNT("rx_drops_filter", rxDropsFilter),
-        CDNA_COUNT("frames_dropped", faultFramesDropped),
-        CDNA_COUNT("frames_corrupted", faultFramesCorrupted),
-        CDNA_COUNT("frames_duplicated", faultFramesDuplicated),
-        CDNA_COUNT("dma_delays", faultDmaDelays),
-        CDNA_COUNT("firmware_stalls", firmwareStalls),
-        CDNA_COUNT("guest_kills", guestKills),
-        CDNA_COUNT("mailbox_timeouts", mailboxTimeouts),
-        CDNA_COUNT("ring_resyncs", ringResyncs),
-        CDNA_COUNT("rx_drops_bad_csum", rxDropsBadCsum),
+        CDNA_COUNT("protection_faults", protectionFaults, "faults"),
+        CDNA_COUNT("dma_violations", dmaViolations, "dma_violations"),
+        CDNA_COUNT("rx_drops_no_desc", rxDropsNoDesc, "rx_drop_no_desc"),
+        CDNA_COUNT("rx_drops_no_buf", rxDropsNoBuf, "rx_drop_no_buf"),
+        CDNA_COUNT("rx_drops_filter", rxDropsFilter, "rx_drop_filter"),
+        CDNA_COUNT("frames_dropped", faultFramesDropped, "frames_dropped"),
+        CDNA_COUNT("frames_corrupted", faultFramesCorrupted,
+                   "frames_corrupted"),
+        CDNA_COUNT("frames_duplicated", faultFramesDuplicated,
+                   "frames_duplicated"),
+        CDNA_COUNT("dma_delays", faultDmaDelays, "dma_delays"),
+        CDNA_COUNT("firmware_stalls", firmwareStalls, "firmware_stalls"),
+        CDNA_COUNT("guest_kills", guestKills, "guest_kills"),
+        CDNA_COUNT("mailbox_timeouts", mailboxTimeouts,
+                   "faults.mailbox_timeouts"),
+        CDNA_COUNT("ring_resyncs", ringResyncs, "faults.ring_resyncs"),
+        CDNA_COUNT("rx_drops_bad_csum", rxDropsBadCsum, "rx_drops_bad_csum"),
         CDNA_LEVEL("tx_backlog_peak", txBacklogPeak),
         CDNA_LEVEL("tx_backlog_now", txBacklogNow),
-        CDNA_COUNT("tcp_retrans_segs", tcpRetransSegs),
-        CDNA_COUNT("tcp_fast_retransmits", tcpFastRetransmits),
-        CDNA_COUNT("tcp_rto_events", tcpRtoEvents),
-        CDNA_COUNT("tcp_dup_acks", tcpDupAcks),
-        CDNA_COUNT("driver_domain_kills", driverDomainKills),
-        CDNA_COUNT("firmware_reboots", firmwareReboots),
-        CDNA_COUNT("fe_reconnects", feReconnects),
-        CDNA_COUNT("grants_revoked", grantsRevoked),
-        CDNA_COUNT("pages_quarantined", pagesQuarantined),
-        CDNA_COUNT("quarantine_released", quarantineReleased),
-        CDNA_COUNT("mailbox_throttled", mailboxThrottled),
-        CDNA_COUNT("outage_packets_lost", outagePacketsLost),
-        CDNA_COUNT("cxt_page_traps", cxtPageTraps),
-        CDNA_COUNT("cxt_evictions", cxtEvictions),
-        CDNA_COUNT("cxt_page_ins", cxtPageIns),
+        CDNA_COUNT("tcp_retrans_segs", tcpRetransSegs, "segs_retransmitted"),
+        CDNA_COUNT("tcp_fast_retransmits", tcpFastRetransmits,
+                   "fast_retransmits"),
+        CDNA_COUNT("tcp_rto_events", tcpRtoEvents, "rto_events"),
+        CDNA_COUNT("tcp_dup_acks", tcpDupAcks, "dup_acks_received"),
+        CDNA_COUNT("driver_domain_kills", driverDomainKills,
+                   "driver_domain_kills"),
+        CDNA_COUNT("firmware_reboots", firmwareReboots, "firmware_reboots"),
+        CDNA_COUNT("fe_reconnects", feReconnects, "frontend_reconnects"),
+        CDNA_COUNT("grants_revoked", grantsRevoked, "revoked"),
+        CDNA_COUNT("pages_quarantined", pagesQuarantined, "quarantined"),
+        CDNA_COUNT("quarantine_released", quarantineReleased,
+                   "quarantine_released"),
+        CDNA_COUNT("mailbox_throttled", mailboxThrottled, "mailbox_throttled"),
+        CDNA_COUNT("outage_packets_lost", outagePacketsLost,
+                   "outage_rx_drops+tx_lost_crash"),
+        CDNA_COUNT("cxt_page_traps", cxtPageTraps, "cxt_page_traps"),
+        CDNA_COUNT("cxt_evictions", cxtEvictions, "cxt_evictions"),
+        CDNA_COUNT("cxt_page_ins", cxtPageIns, "cxt_page_ins"),
         CDNA_LEVEL("cxt_resident_peak", cxtResidentPeak),
-        CDNA_COUNT("switch_drops", switchDrops),
-        CDNA_COUNT("switch_drop_bytes", switchDropBytes),
+        CDNA_COUNT("switch_drops", switchDrops, nullptr),
+        CDNA_COUNT("switch_drop_bytes", switchDropBytes, nullptr),
         CDNA_LEVEL("switch_queue_peak_bytes", switchQueuePeakBytes),
-        CDNA_COUNT("rpc_requests", rpcRequests),
-        CDNA_COUNT("rpc_responses", rpcResponses),
-        CDNA_COUNT("rpc_timeouts", rpcTimeouts),
-        CDNA_COUNT("flows_started", flowsStarted),
-        CDNA_COUNT("flows_completed", flowsCompleted),
-        CDNA_COUNT("swpt_doorbell_traps", swptDoorbellTraps),
-        CDNA_COUNT("swpt_desc_validated", swptDescValidated),
-        CDNA_COUNT("swpt_desc_rejected", swptDescRejected),
+        CDNA_COUNT("rpc_requests", rpcRequests, "rpc_requests"),
+        CDNA_COUNT("rpc_responses", rpcResponses, "rpc_responses"),
+        CDNA_COUNT("rpc_timeouts", rpcTimeouts, "rpc_timeouts"),
+        CDNA_COUNT("flows_started", flowsStarted, "flows_started"),
+        CDNA_COUNT("flows_completed", flowsCompleted, "flows_completed"),
+        CDNA_COUNT("swpt_doorbell_traps", swptDoorbellTraps, "doorbell_traps"),
+        CDNA_COUNT("swpt_desc_validated", swptDescValidated, "desc_validated"),
+        CDNA_COUNT("swpt_desc_rejected", swptDescRejected, "desc_rejected"),
         CDNA_LIST("per_guest_mbps", perGuestMbps, "%.2f"),
         CDNA_LIST("per_guest_downtime_us", perGuestDowntimeUs, "%.1f"),
         CDNA_LIST("per_guest_ttfp_us", perGuestTtfpUs, "%.1f"),
@@ -201,6 +213,50 @@ findReportColumn(const std::string &key)
         if (key == c.key)
             return &c;
     return nullptr;
+}
+
+std::vector<CounterSource>
+counterSources(const ReportColumn &c)
+{
+    std::vector<CounterSource> out;
+    if (!c.source)
+        return out;
+    std::string_view rest = c.source;
+    while (!rest.empty()) {
+        std::string_view one = rest.substr(0, rest.find('+'));
+        rest.remove_prefix(std::min(rest.size(), one.size() + 1));
+        std::size_t dot = one.rfind('.');
+        if (dot == std::string_view::npos)
+            out.push_back({"", std::string(one)});
+        else
+            out.push_back({std::string(one.substr(0, dot)),
+                           std::string(one.substr(dot + 1))});
+    }
+    return out;
+}
+
+void
+addSourcedCounters(Report &totals, std::string_view component,
+                   const sim::StatGroup &stats)
+{
+    // Stat name -> (source, field) for every sourced column.
+    using Feed = std::pair<CounterSource, std::uint64_t Report::*>;
+    static const std::unordered_map<std::string, std::vector<Feed>> feeds =
+        [] {
+            std::unordered_map<std::string, std::vector<Feed>> m;
+            for (const ReportColumn &c : reportColumns())
+                for (CounterSource &src : counterSources(c))
+                    m[src.stat].push_back({std::move(src), c.windowed});
+            return m;
+        }();
+    for (const auto &[name, counter] : stats.counters()) {
+        auto it = feeds.find(name);
+        if (it == feeds.end())
+            continue;
+        for (const auto &[src, field] : it->second)
+            if (src.matches(component, name))
+                totals.*field += counter->value();
+    }
 }
 
 std::string

@@ -12,9 +12,14 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/time.hh"
+
+namespace cdna::sim {
+class StatGroup;
+}
 
 namespace cdna::core {
 
@@ -227,6 +232,16 @@ struct Report
 /**
  * One report key: its JSON name, how one value is printed, and how to
  * read it.  A column is either a scalar (get) or an array (list).
+ *
+ * A counter column names the stat it sums in source.  A source is a
+ * stat name, or "component.stat" when more than one kind of component
+ * registers that name ("faults.mailbox_timeouts"); the component is
+ * written without the host's name prefix.  Several sources are joined
+ * by '+' ("outage_rx_drops+tx_lost_crash").  System::snapshot() sums
+ * each source over every counter its host's own components register,
+ * so adding a report counter takes three edits: register the stat, add
+ * a Report field, and add one CDNA_COUNT row naming the stat in
+ * reportColumns().
  */
 struct ReportColumn
 {
@@ -238,7 +253,35 @@ struct ReportColumn
     /** A counter reported as its change over the measurement window
      *  (null for rates, levels, peaks and arrays). */
     std::uint64_t Report::*windowed = nullptr;
+    /** The stats a windowed counter sums (null when System fills it
+     *  explicitly, as it does the switch port's drop counts). */
+    const char *source = nullptr;
 };
+
+/** One stat a counter column sums (see ReportColumn::source). */
+struct CounterSource
+{
+    std::string component; //!< empty: any component of the host
+    std::string stat;
+
+    /** True for stat @p name of component @p comp (prefix stripped). */
+    bool
+    matches(std::string_view comp, std::string_view name) const
+    {
+        return name == stat && (component.empty() || comp == component);
+    }
+};
+
+/** Column @p c's sources, in order; empty without a source. */
+std::vector<CounterSource> counterSources(const ReportColumn &c);
+
+/**
+ * Add every counter in @p stats, registered by component @p component
+ * (its name without the host prefix), to the windowed fields of
+ * @p totals whose columns name it as a source.
+ */
+void addSourcedCounters(Report &totals, std::string_view component,
+                        const sim::StatGroup &stats);
 
 /**
  * Every report key after schema_version and label, in JSON order:

@@ -112,17 +112,6 @@ class SwptArch final : public IoArch
         return true;
     }
 
-    void
-    addCounters(Snapshot &s) const override
-    {
-        for (const auto &v : validators_) {
-            s.totals.swptDoorbellTraps += v->doorbellTraps();
-            s.totals.swptDescValidated += v->descValidated();
-            s.totals.swptDescRejected += v->descRejected();
-            s.swptValidation += v->validationTime();
-        }
-    }
-
     vmm::SwptValidator *
     swptValidator(std::uint32_t i) override
     {

@@ -30,6 +30,7 @@ System::System(SystemConfig cfg, sim::SimContext *shared,
     // Guest/driver MAC blocks are 1 Mi ids apart; cap hostId well clear
     // of the 0xFE0000 range traffic peers hash their names into.
     SIM_ASSERT(cfg_.hostId <= 12, "hostId out of range for the MAC plan");
+    ownObjects_.first = ctx_.objects().size();
     // Install the injector before any component is built so fault
     // hooks (driver watchdogs, link faults) see it from the start.  An
     // empty plan installs nothing, keeping the run bit-identical to a
@@ -51,6 +52,7 @@ System::System(SystemConfig cfg, sim::SimContext *shared,
         setupAvailability();
         scheduleFaultEvents();
     }
+    ownObjects_.second = ctx_.objects().size();
 }
 
 System::~System()
@@ -83,13 +85,15 @@ System::nicPort(std::uint32_t i)
 void
 System::buildCommon()
 {
-    mem_ = std::make_unique<mem::PhysMemory>(ctx_, cfg_.memoryPages);
+    mem_ = std::make_unique<mem::PhysMemory>(ctx_, cfg_.memoryPages,
+                                             nm("phys-mem"));
     cpu_ = std::make_unique<cpu::SimCpu>(ctx_, nm("cpu0"),
                                          cfg_.costs.cpuParams);
     hv_ = std::make_unique<vmm::Hypervisor>(ctx_, *cpu_, *mem_,
-                                            cfg_.costs.hv);
+                                            cfg_.costs.hv, cfg_.namePrefix);
     if (cfg_.iommuMode != mem::Iommu::Mode::kNone)
-        iommu_ = std::make_unique<mem::Iommu>(ctx_, *mem_, cfg_.iommuMode);
+        iommu_ = std::make_unique<mem::Iommu>(ctx_, *mem_, cfg_.iommuMode,
+                                              nm("iommu"));
 
     for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
         std::string suffix = std::to_string(i);
@@ -367,7 +371,8 @@ System::setupAvailability()
         cfg_.faults.firmwareReboots.empty())
         return;
     auto guests = static_cast<std::uint32_t>(guests_.size());
-    avail_ = std::make_unique<AvailabilityTracker>(ctx_, guests);
+    avail_ = std::make_unique<AvailabilityTracker>(ctx_, guests,
+                                                   nm("availability"));
 
     // Per-guest progress: any stack of guest g (on any NIC) moving
     // data end-to-end counts, which is what makes a CDNA guest with a

@@ -26,11 +26,13 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cost_model.hh"
 #include "core/fault_plan.hh"
 #include "core/io_arch.hh"
+#include "core/report.hh"
 #include "mem/grant_table.hh"
 #include "mem/iommu.hh"
 #include "sim/metrics_registry.hh"
@@ -298,6 +300,27 @@ struct SystemConfig
     std::string effectiveLabel() const;
 };
 
+/**
+ * What a Report needs at one instant (System::snapshot()); a window's
+ * Report is the difference of two.  The Report's counters hold running
+ * totals and its levels and peaks their current value; the other fields
+ * are the raw inputs to its rates.
+ */
+struct Snapshot
+{
+    Report totals;
+    std::uint64_t peerRxPayload = 0;
+    std::uint64_t stackRxBytes = 0;
+    std::uint64_t wirePayload = 0; //!< raw link payload, goodput dir
+    std::vector<std::uint64_t> perGuestBytes;
+    std::uint64_t drvVirtIrqs = 0;
+    std::uint64_t guestVirtIrqs = 0;
+    std::uint64_t physIrqs = 0;
+    std::uint64_t hypercalls = 0;
+    std::uint64_t switches = 0;
+    sim::Time swptValidation = 0;
+};
+
 class System
 {
   public:
@@ -530,6 +553,9 @@ class System
     bool driverDomainDown_ = false;
 
     bool started_ = false;
+    /** The ctx_.objects() indexes [first, second) this host's
+     *  constructor registered (the append-only list keeps them valid). */
+    std::pair<std::size_t, std::size_t> ownObjects_{0, 0};
     Snapshot measureBegin_;
 };
 

@@ -6,9 +6,12 @@
  */
 
 #include <algorithm>
+#include <string_view>
 
 #include "core/system.hh"
 #include "net/workload/workload_engine.hh"
+#include "sim/assert.hh"
+#include "vmm/swpt_validator.hh"
 
 namespace cdna::core {
 
@@ -17,34 +20,31 @@ System::snapshot() const
 {
     Snapshot s;
     Report &t = s.totals;
-    auto add_tcp = [&t](const net::transport::TcpEndpoint *e) {
-        if (!e)
-            return;
-        t.tcpRetransSegs += e->retransSegs();
-        t.tcpFastRetransmits += e->fastRetransmits();
-        t.tcpRtoEvents += e->rtoEvents();
-        t.tcpDupAcks += e->dupAcksRx();
+    // Every stat-backed counter column sums the stats it names over
+    // this host's own components: whatever its constructor registered,
+    // plus the workload engines start() puts on its local peers.
+    auto add_stats = [&](const sim::SimObject &o) {
+        std::string_view name = o.name();
+        SIM_ASSERT(name.starts_with(cfg_.namePrefix),
+                   "component name lacks the host's prefix");
+        name.remove_prefix(cfg_.namePrefix.size());
+        addSourcedCounters(t, name, o.stats());
     };
+    const std::vector<sim::SimObject *> &objects = ctx_.objects();
+    for (std::size_t k = ownObjects_.first; k < ownObjects_.second; ++k)
+        add_stats(*objects[k]);
+
     for (const auto &p : peers_) {
         if (!p)
             continue;
         s.peerRxPayload += p->payloadDelivered();
-        t.rxDropsBadCsum += p->rxDropsBadCsum();
-        if (const auto *e = p->engine()) {
-            t.rpcRequests += e->rpcRequests();
-            t.rpcResponses += e->rpcResponses();
-            t.rpcTimeouts += e->rpcTimeouts();
-            t.flowsStarted += e->flowsStarted();
-            t.flowsCompleted += e->flowsCompleted();
-        }
-        add_tcp(p->tcp());
+        if (const auto *e = p->engine())
+            add_stats(*e);
     }
     for (const auto &st : stacks_) {
         s.stackRxBytes += st->rxBytes();
-        t.rxDropsBadCsum += st->rxDropsBadCsum();
         t.txBacklogPeak = std::max(t.txBacklogPeak, st->txBacklogPeak());
         t.txBacklogNow += st->txBacklogDepth();
-        add_tcp(st->tcp());
     }
     // Raw payload carried on the wire in the goodput direction: what
     // the NIC ports injected (tx), or what the far peers injected /
@@ -79,37 +79,21 @@ System::snapshot() const
         s.guestVirtIrqs += g->virtIrqCount();
     s.hypercalls = hv_->hypercallCount();
     s.switches = cpu_->domainSwitches();
-    t.protectionFaults = hv_->faultCount();
-    t.dmaViolations = mem_->violationCount();
-    for (const auto &n : nics_) {
-        s.physIrqs += n->irqCount();
-        t.rxDropsNoDesc += n->rxDropNoDesc();
-        t.rxDropsNoBuf += n->rxDropNoBuf();
-        t.rxDropsFilter += n->rxDropFilter();
-        const net::Port &port = n->port();
+    for (std::uint32_t i = 0; i < nics_.size(); ++i) {
+        const nic::NicBase &n = *nics_[i];
+        s.physIrqs += n.irqCount();
+        // The switch port toward this NIC counts its drops; a
+        // point-to-point link never drops.
+        const net::Port &port = n.port();
         t.switchDrops += port.egressDrops();
         t.switchDropBytes += port.egressDropBytes();
         t.switchQueuePeakBytes =
             std::max(t.switchQueuePeakBytes, port.queuePeakBytes());
+        if (const auto *cdna = dynamic_cast<const CdnaNic *>(&n))
+            t.cxtResidentPeak += cdna->residentPeak();
+        if (const vmm::SwptValidator *v = arch_->swptValidator(i))
+            s.swptValidation += v->validationTime();
     }
-    if (faults_) {
-        t.faultFramesDropped = faults_->framesDropped();
-        t.faultFramesCorrupted = faults_->framesCorrupted();
-        t.faultFramesDuplicated = faults_->framesDuplicated();
-        t.faultDmaDelays = faults_->dmaDelays();
-        t.firmwareStalls = faults_->firmwareStalls();
-        t.guestKills = faults_->guestKills();
-        t.mailboxTimeouts = faults_->mailboxTimeouts();
-        t.ringResyncs = faults_->ringResyncs();
-        t.driverDomainKills = faults_->driverDomainKills();
-        t.firmwareReboots = faults_->firmwareReboots();
-        t.feReconnects = faults_->frontendReconnects();
-    }
-    const auto &grants = hv_->grants();
-    t.grantsRevoked = grants.revokedGrants();
-    t.pagesQuarantined = grants.quarantineAdmissions();
-    t.quarantineReleased = grants.quarantineReleases();
-    arch_->addCounters(s);
     return s;
 }
 

@@ -141,18 +141,6 @@ class XenArch final : public IoArch
         return cdna_ && cdna_->rebootFirmware(nic);
     }
 
-    void
-    addCounters(Snapshot &s) const override
-    {
-        if (cdna_)
-            cdna_->addCounters(s.totals);
-        for (const auto &d : ddns_) {
-            s.totals.outagePacketsLost += d->outageRxDrops();
-            for (const auto &vif : d->vifs())
-                s.totals.outagePacketsLost += vif->txLostCrash();
-        }
-    }
-
     DmaProtection *
     protection() override
     {

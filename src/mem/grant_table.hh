@@ -30,7 +30,8 @@ inline constexpr GrantRef kInvalidGrant = 0;
 class GrantTable : public sim::SimObject
 {
   public:
-    GrantTable(sim::SimContext &ctx, PhysMemory &mem);
+    GrantTable(sim::SimContext &ctx, PhysMemory &mem,
+               std::string name = "grant-table");
 
     /**
      * Grant @p to access to @p page owned by @p from.
@@ -84,7 +85,6 @@ class GrantTable : public sim::SimObject
     std::uint64_t activeGrants() const { return entries_.size(); }
     std::uint64_t flipCount() const { return nFlips_.value(); }
     std::uint64_t quarantinedPages() const { return quarantine_.size(); }
-    std::uint64_t revokedGrants() const { return nRevoked_.value(); }
     std::uint64_t
     quarantineAdmissions() const
     {

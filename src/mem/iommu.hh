@@ -44,7 +44,8 @@ class Iommu : public sim::SimObject
   public:
     enum class Mode { kNone, kPerDevice, kPerContext };
 
-    Iommu(sim::SimContext &ctx, PhysMemory &mem, Mode mode);
+    Iommu(sim::SimContext &ctx, PhysMemory &mem, Mode mode,
+          std::string name = "iommu");
 
     Mode mode() const { return mode_; }
 

@@ -74,7 +74,8 @@ class PhysMemory : public sim::SimObject
         sim::Time when;
     };
 
-    PhysMemory(sim::SimContext &ctx, std::uint64_t total_pages);
+    PhysMemory(sim::SimContext &ctx, std::uint64_t total_pages,
+               std::string name = "phys-mem");
 
     std::uint64_t totalPages() const { return pages_.size(); }
     std::uint64_t freePages() const { return freeList_.size(); }

@@ -60,13 +60,6 @@ class WorkloadEngine : public sim::SimObject
 
     const WorkloadSpec &spec() const { return spec_; }
 
-    // ------------------------------------------------------ counters ----
-    std::uint64_t flowsStarted() const { return nFlowsStarted_.value(); }
-    std::uint64_t flowsCompleted() const { return nFlowsCompleted_.value(); }
-    std::uint64_t rpcRequests() const { return nRpcRequests_.value(); }
-    std::uint64_t rpcResponses() const { return nRpcResponses_.value(); }
-    std::uint64_t rpcTimeouts() const { return nRpcTimeouts_.value(); }
-
     /** Per-request latency (microseconds, request enqueue to last
      *  response byte back at the peer). */
     const sim::SampleStats &rpcLatency() const { return rpcLatency_; }

@@ -55,8 +55,6 @@ class NicBase : public sim::SimObject, public net::LinkEndpoint
 
     /** Frames dropped for lack of a posted receive descriptor. */
     std::uint64_t rxDropNoDesc() const { return nRxDropNoDesc_.value(); }
-    /** Frames dropped for lack of NIC buffer space. */
-    std::uint64_t rxDropNoBuf() const { return nRxDropNoBuf_.value(); }
     /** Frames dropped by MAC filtering. */
     std::uint64_t rxDropFilter() const { return nRxDropFilter_.value(); }
 

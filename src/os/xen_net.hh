@@ -88,10 +88,6 @@ class XenVif : public sim::SimObject, public NetDevice
     }
 
     std::uint64_t reconnects() const { return nReconnects_.value(); }
-    /** RX packets dropped because the backend was down. */
-    std::uint64_t outageRxDrops() const { return nOutageDrops_.value(); }
-    /** TX packets orphaned inside the crashed driver domain. */
-    std::uint64_t txLostCrash() const { return nLostTx_.value(); }
 
   private:
     friend class DriverDomainNet;
@@ -226,9 +222,6 @@ class DriverDomainNet : public sim::SimObject
     {
         return vifs_;
     }
-
-    /** Total RX packets dropped while the backend was down. */
-    std::uint64_t outageRxDrops() const { return nOutageDrops_.value(); }
 
   private:
     friend class XenVif;

@@ -83,28 +83,6 @@ class FaultInjector : public SimObject
     void noteFirmwareReboot();
     void noteFrontendReconnect();
 
-    std::uint64_t framesDropped() const { return nDrop_.value(); }
-    std::uint64_t framesCorrupted() const { return nCorrupt_.value(); }
-    std::uint64_t framesDuplicated() const { return nDup_.value(); }
-    std::uint64_t dmaDelays() const { return nDmaDelay_.value(); }
-    std::uint64_t firmwareStalls() const { return nFwStall_.value(); }
-    std::uint64_t firmwareResets() const { return nFwReset_.value(); }
-    std::uint64_t guestKills() const { return nGuestKill_.value(); }
-    std::uint64_t mailboxTimeouts() const { return nMboxTimeout_.value(); }
-    std::uint64_t ringResyncs() const { return nRingResync_.value(); }
-    std::uint64_t driverDomainKills() const { return nDomKill_.value(); }
-    std::uint64_t
-    driverDomainRestarts() const
-    {
-        return nDomRestart_.value();
-    }
-    std::uint64_t firmwareReboots() const { return nFwReboot_.value(); }
-    std::uint64_t
-    frontendReconnects() const
-    {
-        return nFeReconnect_.value();
-    }
-
   private:
     FaultRates rates_;
     Rng rng_;

@@ -61,8 +61,10 @@ const char *faultName(Fault f);
 class Hypervisor : public sim::SimObject
 {
   public:
+    /** @p name_prefix prefixes the hypervisor's and its grant table's
+     *  names (hosts sharing one context). */
     Hypervisor(sim::SimContext &ctx, cpu::SimCpu &cpu, mem::PhysMemory &mem,
-               HvParams params = {});
+               HvParams params = {}, const std::string &name_prefix = "");
 
     /** Create a domain with a fresh vCPU and page-ownership identity. */
     Domain &createDomain(Domain::Kind kind, const std::string &name,

@@ -250,10 +250,13 @@ TEST(FaultRecovery, ScheduledKillRevokesEveryContext)
         FaultPlan{}.killingGuest(0, 60.0));
     System sys(cfg);
     sys.start();
+    sys.ctx().events().runUntil(sim::milliseconds(50));
+    sys.beginMeasurement();
     sys.ctx().events().runUntil(sim::milliseconds(100));
+    Report r = sys.endMeasurement(sim::milliseconds(50));
     EXPECT_TRUE(sys.cdnaDriver(0, 0)->detached());
     ASSERT_NE(sys.faultInjector(), nullptr);
-    EXPECT_EQ(sys.faultInjector()->guestKills(), 1u);
+    EXPECT_EQ(r.guestKills, 1u);
     EXPECT_EQ(sys.mem().violationCount(), 0u);
 }
 

@@ -166,13 +166,6 @@ struct SystemConfig
     }
 
     SystemConfig &
-    withGuests(std::uint32_t n)
-    {
-        numGuests = n;
-        return *this;
-    }
-
-    SystemConfig &
     withNics(std::uint32_t n)
     {
         numNics = n;
@@ -274,13 +267,6 @@ struct SystemConfig
     transport(TransportKind k)
     {
         transportKind = k;
-        return *this;
-    }
-
-    SystemConfig &
-    withTcpParams(const net::transport::TcpParams &p)
-    {
-        tcpParams = p;
         return *this;
     }
 
@@ -453,7 +439,6 @@ class System
      *         in native mode, or when it is already down)
      */
     bool killDriverDomain();
-    bool driverDomainDown() const { return driverDomainDown_; }
 
     /**
      * Reboot NIC @p nic's firmware (FaultPlan::rebootingFirmware): all

@@ -119,7 +119,6 @@ class TcpSenderFlow
     std::uint64_t inFlight() const { return sndNxt_ - sndUna_; }
     bool inRecovery() const { return inRecovery_; }
     sim::Time rto() const { return rto_; }
-    sim::Time srtt() const { return srtt_; }
 
     // Event counts, aggregated by the owning endpoint.
     std::uint64_t segsSent = 0;
@@ -305,7 +304,7 @@ class TcpEndpoint : public sim::SimObject
     std::uint64_t acksReceived() const { return nAcksRx_.value(); }
 
     /** Sum of cumulatively ACKed bytes across sender flows (the
-     *  closed-loop progress basis FlowStats::ackedBytes reports). */
+     *  closed-loop progress basis of a sender's goodput). */
     std::uint64_t sndUnaTotal() const;
 
     /** Sum of sender-flow congestion windows (cwnd-trajectory gauge). */

@@ -145,8 +145,6 @@ WorkloadEngine::drawSize(const FlowClass &fc)
     switch (fc.sizeDist) {
       case SizeDist::kFixed:
         return lo;
-      case SizeDist::kUniform:
-        return lo + rng_.below(hi - lo + 1);
       case SizeDist::kBoundedPareto: {
         // Inverse-CDF of the bounded Pareto on [lo, hi].
         double a = fc.paretoAlpha;

@@ -69,7 +69,6 @@ enum class Arrival : std::uint8_t {
 /** How a flow's size (or an RPC request's size) is drawn. */
 enum class SizeDist : std::uint8_t {
     kFixed,         ///< always `sizeBytes`
-    kUniform,       ///< uniform in [sizeBytes, sizeMaxBytes]
     kBoundedPareto, ///< heavy tail in [sizeBytes, sizeMaxBytes], `paretoAlpha`
 };
 
@@ -94,7 +93,7 @@ struct FlowClass
     SizeDist sizeDist = SizeDist::kFixed;
     /** Fixed size, or the lower bound of the distribution. */
     std::uint64_t sizeBytes = kMss;
-    /** Upper bound for kUniform / kBoundedPareto. */
+    /** Upper bound for kBoundedPareto. */
     std::uint64_t sizeMaxBytes = kMss;
     /** Bounded-Pareto shape (heavier tail as alpha -> 1). */
     double paretoAlpha = 1.3;
@@ -142,13 +141,6 @@ struct FlowClass
         sizeMaxBytes = bytes;
         return *this;
     }
-    FlowClass &sizedUniform(std::uint64_t lo, std::uint64_t hi)
-    {
-        sizeDist = SizeDist::kUniform;
-        sizeBytes = lo;
-        sizeMaxBytes = hi;
-        return *this;
-    }
     FlowClass &sizedPareto(std::uint64_t lo, std::uint64_t hi,
                            double alpha)
     {
@@ -156,11 +148,6 @@ struct FlowClass
         sizeBytes = lo;
         sizeMaxBytes = hi;
         paretoAlpha = alpha;
-        return *this;
-    }
-    FlowClass &respondingWith(std::uint32_t bytes)
-    {
-        rpcRespBytes = bytes;
         return *this;
     }
     FlowClass &timingOutAfter(sim::Time t)

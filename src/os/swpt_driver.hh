@@ -54,7 +54,6 @@ class SwptDriver : public sim::SimObject, public NetDevice
 
     vmm::Domain &domain() { return dom_; }
     vmm::SwptValidator &validator() { return validator_; }
-    vmm::SwptValidator::GuestId gid() const { return gid_; }
     bool detached() const { return detached_; }
 
     std::uint64_t txQueueDrops() const { return nQdiscDrop_.value(); }

@@ -199,7 +199,6 @@ class DriverDomainNet : public sim::SimObject
      * driver-domain memcpy for the flip hypercall and its TLB costs.
      */
     void setRxCopyMode(bool on) { rxCopyMode_ = on; }
-    bool rxCopyMode() const { return rxCopyMode_; }
 
     std::uint64_t bridgeRxDropNoVif() const { return nNoVif_.value(); }
 

@@ -189,14 +189,6 @@ class ExperimentSpec
         return *this;
     }
 
-    /** Explicit seed ensemble. */
-    ExperimentSpec &
-    seedList(std::vector<std::uint64_t> s)
-    {
-        seeds_ = std::move(s);
-        return *this;
-    }
-
     ExperimentSpec &
     warmup(sim::Time t)
     {

@@ -341,8 +341,8 @@ struct FlowBase
 FlowBase
 flowNow(net::TrafficPeer &peer)
 {
-    net::FlowStats fs = peer.flowStats();
-    return {fs.ackedBytes, fs.retransSegs};
+    const net::transport::TcpEndpoint *tcp = peer.tcp();
+    return {tcp->sndUnaTotal(), tcp->retransSegs()};
 }
 
 } // namespace

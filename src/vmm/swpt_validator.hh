@@ -89,7 +89,6 @@ class SwptValidator : public sim::SimObject
     /** Validator restarts: reprocess latched doorbells, drain the
      *  completions and receives that accumulated during the stall. */
     void restart();
-    bool stalled() const { return stalled_; }
 
     /** Guest killed mid-DMA: drop its latched/queued descriptors,
      *  release its posted RX buffers, stop demuxing to it.  Pages

@@ -3,13 +3,18 @@
  * Multi-host topology tests: the 1-host degenerate case is
  * bit-identical to a standalone System, cross-host TCP traverses
  * guest -> NIC -> switch -> NIC -> guest, multi-host runs are
- * deterministic, and a noisy neighbor on a shared uplink measurably
- * degrades a victim host.
+ * deterministic, a noisy neighbor on a shared uplink measurably
+ * degrades a victim host, every host's components carry distinct
+ * names, and each host's report counts only its own components.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "core/report.hh"
+#include "core/fault_plan.hh"
 #include "core/system.hh"
 #include "net/eth_switch.hh"
 #include "sim/topology.hh"
@@ -162,4 +167,144 @@ TEST(Topology, NoisyNeighborOnSharedUplinkDegradesVictim)
     EXPECT_LT(contended, 0.75 * alone);
     EXPECT_EQ(drops_alone, 0u);
     EXPECT_GT(drops_noisy, 0u);
+}
+
+TEST(Topology, ComponentNamesAreUniqueAcrossHosts)
+{
+    // Every component a host builds takes the host's name prefix, so
+    // stats dumps and trace lanes never merge two hosts.
+    sim::Topology topo;
+    auto &sw = topo.addSwitch("sw", 4);
+    topo.addHost(core::SystemConfig::cdna(1).withNics(1).withIommu(
+                     mem::Iommu::Mode::kPerContext),
+                 {&sw});
+    topo.addHost(core::SystemConfig::xenRice(1).withNics(1).withIommu(
+                     mem::Iommu::Mode::kPerDevice),
+                 {&sw});
+    topo.addHost(core::SystemConfig::swPassthrough(1)
+                     .withNics(1)
+                     .withIommu(mem::Iommu::Mode::kPerDevice)
+                     .withFaults(core::FaultPlan{}.killingDriverDomain(5)),
+                 {&sw});
+    topo.run(sim::milliseconds(2), sim::milliseconds(8));
+
+    std::set<std::string> names;
+    for (const sim::SimObject *o : topo.ctx().objects())
+        EXPECT_TRUE(names.insert(o->name()).second) << o->name();
+    EXPECT_EQ(names.count("phys-mem"), 1u);
+    EXPECT_EQ(names.count("h1.grant-table"), 1u);
+    EXPECT_EQ(names.count("h2.availability"), 1u);
+}
+
+namespace {
+
+/** TCP counters of a host's guest stacks, summed. */
+struct StackTcp
+{
+    std::uint64_t retrans = 0, fastRtx = 0, rto = 0, dupAcks = 0;
+    std::uint64_t badCsum = 0;
+};
+
+StackTcp
+stackTcp(core::System &h)
+{
+    StackTcp s;
+    for (std::uint32_t g = 0; g < h.config().numGuests; ++g) {
+        for (std::uint32_t i = 0; i < h.nicCount(); ++i) {
+            os::NetStack &st = h.stack(g, i);
+            s.badCsum += st.rxDropsBadCsum();
+            if (const auto *t = st.tcp()) {
+                s.retrans += t->retransSegs();
+                s.fastRtx += t->fastRetransmits();
+                s.rto += t->rtoEvents();
+                s.dupAcks += t->dupAcksRx();
+            }
+        }
+    }
+    return s;
+}
+
+void
+expectWindowMatches(const core::Report &r, const StackTcp &a,
+                    const StackTcp &b)
+{
+    EXPECT_EQ(r.tcpRetransSegs, b.retrans - a.retrans) << r.label;
+    EXPECT_EQ(r.tcpFastRetransmits, b.fastRtx - a.fastRtx) << r.label;
+    EXPECT_EQ(r.tcpRtoEvents, b.rto - a.rto) << r.label;
+    EXPECT_EQ(r.tcpDupAcks, b.dupAcks - a.dupAcks) << r.label;
+    EXPECT_EQ(r.rxDropsBadCsum, b.badCsum - a.badCsum) << r.label;
+}
+
+} // namespace
+
+TEST(Topology, HostReportCountsOnlyItsOwnComponents)
+{
+    {
+        // Incast: host 0 (empty name prefix) shares the context with
+        // external senders whose TCP endpoints retransmit into a
+        // shallow switch buffer; none of that is host 0's.
+        sim::Topology topo(5);
+        net::EthSwitchParams params;
+        params.bufBytesPerPort = 32 * 1024;
+        auto &sw = topo.addSwitch("sw", 5, params);
+        auto &host = topo.addHost(core::SystemConfig::xenIntel(1)
+                                      .receive()
+                                      .withNics(1)
+                                      .transport(core::kTcp),
+                                  {&sw});
+        std::vector<net::TrafficPeer *> senders;
+        for (int i = 0; i < 4; ++i)
+            senders.push_back(&topo.addPeer("snd" + std::to_string(i), sw));
+        topo.ctx().events().schedule(sim::milliseconds(1), [&] {
+            for (auto *p : senders)
+                p->applyWorkload(
+                    net::workload::WorkloadSpec{}
+                        .overTcp({})
+                        .toward({host.guestMac(0, 0)})
+                        .withClass(net::workload::FlowClass::saturating()));
+        });
+        StackTcp begin;
+        std::uint64_t sender_begin = 0;
+        topo.run(sim::milliseconds(5), sim::milliseconds(20), [&] {
+            begin = stackTcp(host);
+            for (auto *p : senders)
+                sender_begin += p->tcp()->retransSegs();
+        });
+        std::uint64_t sender_end = 0;
+        for (auto *p : senders)
+            sender_end += p->tcp()->retransSegs();
+        ASSERT_GT(sender_end, sender_begin); // the senders did retransmit
+        expectWindowMatches(topo.report(host), begin, stackTcp(host));
+    }
+    {
+        // Two TCP hosts; host 0 carries the (context-wide) loss plan,
+        // so its fault injector's counts are its own as well.
+        sim::Topology topo(3);
+        auto &sw = topo.addSwitch("sw", 4);
+        auto &a = topo.addHost(
+            core::SystemConfig::cdna(1).withNics(1).transport(core::kTcp)
+                .withFaults(core::FaultPlan{}.dropping(0.01).corrupting(
+                    0.01)),
+            {&sw});
+        auto &b = topo.addHost(core::SystemConfig::cdna(1)
+                                   .receive()
+                                   .withNics(1)
+                                   .transport(core::kTcp),
+                               {&sw});
+        a.stack(0, 0).setDefaultDst(b.guestMac(0, 0));
+        StackTcp a0, b0;
+        topo.run(sim::milliseconds(5), sim::milliseconds(20), [&] {
+            a0 = stackTcp(a);
+            b0 = stackTcp(b);
+        });
+        core::Report ra = topo.report(a);
+        core::Report rb = topo.report(b);
+        EXPECT_GT(ra.tcpRetransSegs, 0u);
+        EXPECT_GT(rb.rxDropsBadCsum, 0u);
+        expectWindowMatches(ra, a0, stackTcp(a));
+        expectWindowMatches(rb, b0, stackTcp(b));
+        EXPECT_GT(ra.faultFramesDropped, 0u);
+        EXPECT_EQ(rb.faultFramesDropped, 0u);
+        EXPECT_EQ(rb.faultFramesCorrupted, 0u);
+    }
 }

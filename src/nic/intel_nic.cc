@@ -200,6 +200,7 @@ IntelNic::receiveFrame(net::Packet pkt)
         return;
     }
     std::uint32_t pos = rxUsed_++;
+    rxLanding_.emplace_back();
     const DmaDescriptor &desc = rxRing_->at(pos);
     // Prefetch more descriptors as the supply drains.
     if (rxFetched_ - rxUsed_ < params_.fetchBatch / 2)
@@ -224,8 +225,17 @@ IntelNic::receiveFrame(net::Packet pkt)
         rxBuf_.release(bytes);
         nRxPackets_.inc();
         nRxPayload_.inc(pkt.payloadBytes);
-        rxReady_.push_back(RxDelivery{pos, std::move(pkt)});
-        ++rxConsumer_;
+        // The consumer index tells the driver every slot before it is
+        // filled, so a frame whose write lands early (an earlier
+        // frame's DMA was delayed) waits for the ones before it.
+        rxLanding_[pos - rxConsumer_] = std::move(pkt);
+        if (pos != rxConsumer_)
+            return;
+        while (!rxLanding_.empty() && rxLanding_.front()) {
+            rxReady_.push_back(
+                RxDelivery{rxConsumer_++, std::move(*rxLanding_.front())});
+            rxLanding_.pop_front();
+        }
         scheduleConsumerWriteback();
         notePendingEvent();
     });

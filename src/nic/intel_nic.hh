@@ -81,7 +81,8 @@ class IntelNic : public NicBase
     // --- host-visible completion state (DMA'd back to host memory) ------
     /** Free-running count of fully transmitted TX descriptors. */
     std::uint32_t txConsumer() const { return txConsumer_; }
-    /** Free-running count of received frames delivered to host memory. */
+    /** Free-running count of received frames delivered to host memory,
+     *  in ring order: slots before it all hold their frames. */
     std::uint32_t rxConsumer() const { return rxConsumer_; }
 
     /** Driver pulls delivered frames (called from its IRQ handler). */
@@ -142,6 +143,9 @@ class IntelNic : public NicBase
     std::uint32_t rxFetched_ = 0;
     std::uint32_t rxUsed_ = 0;      //!< descriptors consumed by frames
     std::uint32_t rxConsumer_ = 0;  //!< deliveries completed to host
+    /** Frames from position rxConsumer_ on: empty while the DMA write
+     *  is in flight, the frame once it landed.  Published in order. */
+    std::deque<std::optional<net::Packet>> rxLanding_;
     bool rxFetchBusy_ = false;
     std::vector<RxDelivery> rxReady_;
 

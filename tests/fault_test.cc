@@ -201,6 +201,39 @@ TEST(FaultBehavior, DmaDelaysAreCounted)
     EXPECT_GT(r.mbps, 0.0);
 }
 
+// A delayed RX DMA write used to let later frames complete first and
+// advance the Intel NIC's consumer index past a slot still being
+// written; netback then page-flipped that slot's page mid-DMA.
+// Completions now reach the driver in ring order.
+TEST(FaultBehavior, XenIntelRxUnderDmaDelayFlipsOnlyLandedPages)
+{
+    // cdna_sim --mode xen --nic intel --direction rx --seconds 0.2
+    //     --dma-delay-rate 0.01
+    Report r = runOnce(SystemConfig::xenIntel(1).receive().withFaults(
+                           FaultPlan{}.delayingDma(0.01, 25.0)),
+                       sim::milliseconds(100), sim::milliseconds(200));
+    EXPECT_GT(r.faultDmaDelays, 0u);
+    EXPECT_EQ(r.dmaViolations, 0u);
+    EXPECT_GT(r.mbps, 0.0);
+}
+
+TEST(FaultBehavior, XenIntelTcpRxUnderDmaDelayAndLoss)
+{
+    // cdna_sim --mode xen --nic intel --direction rx --transport tcp
+    //     --seconds 0.2 --dma-delay-rate 0.01 --drop-rate 0.01
+    Report r = runOnce(SystemConfig::xenIntel(1)
+                           .receive()
+                           .transport(kTcp)
+                           .withFaults(FaultPlan{}
+                                           .delayingDma(0.01, 25.0)
+                                           .dropping(0.01)),
+                       sim::milliseconds(100), sim::milliseconds(200));
+    EXPECT_GT(r.faultDmaDelays, 0u);
+    EXPECT_GT(r.tcpRetransSegs, 0u);
+    EXPECT_EQ(r.dmaViolations, 0u);
+    EXPECT_GT(r.mbps, 0.0);
+}
+
 TEST(FaultBehavior, ReportSurfacesFaultCounters)
 {
     Report r = runOnce(SystemConfig::cdna(1).withFaults(

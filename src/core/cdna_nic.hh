@@ -143,9 +143,6 @@ class CdnaNic : public nic::NicBase
      */
     void stallFirmware(sim::Time duration, bool watchdog_reset);
 
-    /** Watchdog firmware reboots performed (fault injection). */
-    std::uint64_t firmwareResets() const { return nFwResets_.value(); }
-
     /**
      * Fault injection: full firmware reboot (--reboot-firmware).  The
      * running image dies *now*: the event hierarchy, staged and

@@ -63,8 +63,6 @@ class XenVif : public sim::SimObject, public NetDevice
     /** Shared-ring capacity (slots) in each direction. */
     static constexpr std::uint32_t kRingSlots = 256;
 
-    std::uint64_t rxDropNoBuffer() const { return nRxDropNoBuf_.value(); }
-
     /**
      * Arm the dead-backend watchdog (frontend reconnection protocol).
      * Only called when a fault plan schedules a driver-domain crash,
@@ -86,8 +84,6 @@ class XenVif : public sim::SimObject, public NetDevice
     {
         onReconnected_ = std::move(fn);
     }
-
-    std::uint64_t reconnects() const { return nReconnects_.value(); }
 
   private:
     friend class DriverDomainNet;
@@ -199,8 +195,6 @@ class DriverDomainNet : public sim::SimObject
      * driver-domain memcpy for the flip hypercall and its TLB costs.
      */
     void setRxCopyMode(bool on) { rxCopyMode_ = on; }
-
-    std::uint64_t bridgeRxDropNoVif() const { return nNoVif_.value(); }
 
     /**
      * The driver domain crashed (fault injection): the backend stops

@@ -89,8 +89,8 @@ System::snapshot() const
         t.switchDropBytes += port.egressDropBytes();
         t.switchQueuePeakBytes =
             std::max(t.switchQueuePeakBytes, port.queuePeakBytes());
-        if (const auto *cdna = dynamic_cast<const CdnaNic *>(&n))
-            t.cxtResidentPeak += cdna->residentPeak();
+        if (const auto *cnic = dynamic_cast<const CdnaNic *>(&n))
+            t.cxtResidentPeak += cnic->residentPeak();
         if (const vmm::SwptValidator *v = arch_->swptValidator(i))
             s.swptValidation += v->validationTime();
     }

@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/availability.hh"
 #include "core/cdna_driver.hh"

@@ -142,6 +142,10 @@ class SimCpu : public sim::SimObject
      */
     void runHypervisor(sim::Time cost, std::function<void()> done = {});
 
+    /** Trace hypervisor spans on @p lane, the host's Hypervisor
+     *  component's own lane ("hypervisor" until one attaches). */
+    void setHypervisorLane(sim::Tracer::LaneId lane) { hvLane_ = lane; }
+
     /** Accumulated execution profile. */
     ExecProfile &profile() { return profile_; }
     const ExecProfile &profile() const { return profile_; }

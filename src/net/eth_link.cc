@@ -1,10 +1,9 @@
 #include "net/eth_link.hh"
 
-#include <algorithm>
+#include <string>
 #include <utility>
 
 #include "sim/assert.hh"
-#include "sim/fault_injector.hh"
 
 namespace cdna::net {
 
@@ -12,20 +11,20 @@ EthLink::EthLink(sim::SimContext &ctx, std::string name, double bits_per_sec,
                  sim::Time propagation)
     : sim::SimObject(ctx, std::move(name)),
       bps_(bits_per_sec),
-      psPerByte_(static_cast<double>(sim::kSecond) * 8.0 / bits_per_sec),
-      propagation_(propagation)
+      ports_{{*this, 0, propagation}, {*this, 1, propagation}}
 {
-    for (std::uint32_t i = 0; i < 2; ++i) {
-        std::string p = "p" + std::to_string(i);
-        ports_[i].link = this;
-        ports_[i].setIndex(i);
-        ports_[i].txFrames = &stats().addCounter(p + "_tx_frames");
-        ports_[i].txPayload = &stats().addCounter(p + "_tx_payload_bytes");
-        ports_[i].rxPayload = &stats().addCounter(p + "_rx_payload_bytes");
-    }
-    faultDrops_ = &stats().addCounter("fault_drops");
-    faultCorrupts_ = &stats().addCounter("fault_corrupts");
-    faultDups_ = &stats().addCounter("fault_dups");
+    faults_.drops = &stats().addCounter("fault_drops");
+    faults_.corrupts = &stats().addCounter("fault_corrupts");
+    faults_.dups = &stats().addCounter("fault_dups");
+}
+
+EthLink::LinkPort::LinkPort(EthLink &link, std::uint32_t i,
+                            sim::Time propagation)
+    : WireSerializer(link, i, link.bps_, propagation, link.faults_, *this),
+      far(link.ports_[1 - i]),
+      rxPayload(link.stats().addCounter("p" + std::to_string(i) +
+                                        "_rx_payload_bytes"))
+{
 }
 
 Port &
@@ -42,85 +41,6 @@ EthLink::port(std::uint32_t i)
 {
     SIM_ASSERT(i < 2, "EthLink port index out of range");
     return ports_[i];
-}
-
-sim::Time
-EthLink::LinkPort::estimate(const Packet &pkt) const
-{
-    sim::Time start = std::max(link->now(), busyUntil);
-    return start + static_cast<sim::Time>(
-        link->psPerByte_ * static_cast<double>(pkt.wireBytes()));
-}
-
-bool
-EthLink::LinkPort::busy() const
-{
-    return busyUntil > link->now();
-}
-
-sim::Time
-EthLink::doSend(LinkPort &from, Packet pkt, sim::Time extra_gap,
-                std::function<void()> serialized)
-{
-    LinkPort *to = &ports_[1 - from.index()];
-    SIM_ASSERT(to->ep != nullptr, "link far endpoint not bound");
-    from.txFrames->inc(pkt.wireFrames());
-    from.txPayload->inc(pkt.payloadBytes);
-
-    sim::Time start = std::max(now(), from.busyUntil);
-    auto wire = static_cast<sim::Time>(
-        psPerByte_ * static_cast<double>(pkt.wireBytes()));
-    sim::Time end = start + wire;
-    from.busyUntil = end + extra_gap;
-
-    if (serialized)
-        events().scheduleAt(end, std::move(serialized));
-    if (from.hook())
-        events().scheduleAt(from.busyUntil, [this, &from] {
-            // A later send pushed busyUntil forward: that send's own
-            // hook event covers the eventual drain.
-            if (from.hook() && from.busyUntil <= now())
-                from.hook()();
-        });
-
-    // Fault injection: the frame still occupied the wire, but it may
-    // never reach the far side (drop), arrive with its payload mangled
-    // (corrupt: the receiver's checksum check discards it, so it still
-    // consumes NIC and stack resources), or arrive twice (duplicate).
-    auto fate = sim::FaultInjector::FrameFault::kNone;
-    if (sim::FaultInjector *fi = ctx().faultInjector();
-        fi && fi->framesArmed())
-        fate = fi->frameFault();
-    if (fate == sim::FaultInjector::FrameFault::kDrop) {
-        faultDrops_->inc();
-        return end;
-    }
-    if (fate == sim::FaultInjector::FrameFault::kCorrupt) {
-        faultCorrupts_->inc();
-        pkt.intact = false;
-    }
-
-    // Packets leave host memory when they hit the wire.
-    pkt.hostSg.clear();
-    Packet dup;
-    if (fate == sim::FaultInjector::FrameFault::kDuplicate) {
-        faultDups_->inc();
-        dup = pkt;
-        dup.duplicated = true;
-    }
-    events().scheduleAt(end + propagation_,
-                        [to, p = std::move(pkt)]() mutable {
-                            to->rxPayload->inc(p.payloadBytes);
-                            to->ep->receiveFrame(std::move(p));
-                        });
-    if (fate == sim::FaultInjector::FrameFault::kDuplicate)
-        // FIFO ties: arrives right behind the original.
-        events().scheduleAt(end + propagation_,
-                            [to, p = std::move(dup)]() mutable {
-                                to->rxPayload->inc(p.payloadBytes);
-                                to->ep->receiveFrame(std::move(p));
-                            });
-    return end;
 }
 
 } // namespace cdna::net

@@ -2,12 +2,15 @@
  * @file
  * Full-duplex point-to-point Ethernet link: the trivial 2-port Fabric.
  *
- * Each direction is an independent serially-reused channel: a frame (or
- * TSO burst) occupies the wire for wireBytes() at the link rate, then is
- * delivered to the far endpoint after the propagation delay.  The
- * paper's testbed used dedicated Gigabit links between the Xen host and
- * a tuned peer; this model reproduces the 949 Mb/s per-link TCP-goodput
- * ceiling that bounds the CDNA saturation plateau.
+ * Each direction is an independent serially-reused channel, one
+ * WireSerializer per port: a frame (or TSO burst) occupies the wire for
+ * wireBytes() at the link rate, then is delivered to the far endpoint
+ * after the propagation delay.  Frames queued behind it wait in the
+ * serializer's FIFO with their event sequence numbers reserved; only
+ * the head frame's events are scheduled.  The paper's testbed used
+ * dedicated Gigabit links between the Xen host and a tuned peer; this
+ * model reproduces the 949 Mb/s per-link TCP-goodput ceiling that bounds
+ * the CDNA saturation plateau.
  *
  * Endpoints bind() in any order; the first binder gets port 0, the
  * second port 1, and each port transmits toward the other's endpoint.
@@ -17,10 +20,12 @@
 #define CDNA_NET_ETH_LINK_HH
 
 #include <cstdint>
-#include <functional>
+#include <utility>
 
 #include "net/fabric.hh"
 #include "net/packet.hh"
+#include "net/wire_serializer.hh"
+#include "sim/assert.hh"
 #include "sim/sim_object.hh"
 
 namespace cdna::net {
@@ -47,47 +52,33 @@ class EthLink : public sim::SimObject, public Fabric
     Port &port(std::uint32_t i);
 
   private:
-    struct LinkPort final : Port
+    /** Port i: its wire ends at port 1-i's endpoint. */
+    struct LinkPort final : LinkEndpoint, WireSerializer
     {
-        EthLink *link = nullptr;
+        LinkPort(EthLink &link, std::uint32_t i, sim::Time propagation);
+
+        LinkPort &far;
         LinkEndpoint *ep = nullptr;
-        sim::Time busyUntil = 0;
-        sim::Counter *txFrames = nullptr;
-        sim::Counter *txPayload = nullptr;
-        sim::Counter *rxPayload = nullptr;
+        sim::Counter &rxPayload;
 
-        void setIndex(std::uint32_t i) { index_ = i; }
-        const std::function<void()> &hook() const { return drainHook_; }
-
-        sim::Time send(Packet pkt, sim::Time extra_gap,
-                       std::function<void()> serialized) override
-        {
-            return link->doSend(*this, std::move(pkt), extra_gap,
-                                std::move(serialized));
-        }
-        sim::Time estimate(const Packet &pkt) const override;
-        bool busy() const override;
-        std::uint64_t payloadCarried() const override
-        {
-            return txPayload->value();
-        }
         std::uint64_t payloadDelivered() const override
         {
-            return rxPayload->value();
+            return rxPayload.value();
+        }
+        /** This port's wire delivered a frame to the far endpoint. */
+        void
+        receiveFrame(Packet pkt) override
+        {
+            SIM_ASSERT(far.ep != nullptr, "link far endpoint not bound");
+            far.rxPayload.inc(pkt.payloadBytes);
+            far.ep->receiveFrame(std::move(pkt));
         }
     };
 
-    sim::Time doSend(LinkPort &from, Packet pkt, sim::Time extra_gap,
-                     std::function<void()> serialized);
-
     double bps_;
-    double psPerByte_;
-    sim::Time propagation_;
+    WireFaultStats faults_;
     LinkPort ports_[2];
     std::uint32_t bound_ = 0;
-    sim::Counter *faultDrops_ = nullptr;
-    sim::Counter *faultCorrupts_ = nullptr;
-    sim::Counter *faultDups_ = nullptr;
 };
 
 } // namespace cdna::net

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "sim/assert.hh"
-#include "sim/fault_injector.hh"
 
 namespace cdna::net {
 
@@ -14,25 +13,27 @@ EthSwitch::EthSwitch(sim::SimContext &ctx, std::string name,
     : sim::SimObject(ctx, std::move(name)),
       params_(params),
       psPerByte_(static_cast<double>(sim::kSecond) * 8.0 /
-                 params.bitsPerSec),
-      ports_(num_ports)
+                 params.bitsPerSec)
 {
     SIM_ASSERT(num_ports >= 2, "a switch needs at least two ports");
-    for (std::uint32_t i = 0; i < num_ports; ++i) {
-        std::string p = "p" + std::to_string(i);
-        ports_[i].sw = this;
-        ports_[i].setIndex(i);
-        ports_[i].txFrames = &stats().addCounter(p + "_tx_frames");
-        ports_[i].txPayload = &stats().addCounter(p + "_tx_payload_bytes");
-        ports_[i].rxPayload = &stats().addCounter(p + "_rx_payload_bytes");
-        ports_[i].drops = &stats().addCounter(p + "_egress_drops");
-        ports_[i].dropBytes = &stats().addCounter(p + "_egress_drop_bytes");
-    }
-    faultDrops_ = &stats().addCounter("fault_drops");
-    faultCorrupts_ = &stats().addCounter("fault_corrupts");
-    faultDups_ = &stats().addCounter("fault_dups");
+    for (std::uint32_t i = 0; i < num_ports; ++i)
+        ports_.emplace_back(*this, i);
+    faults_.drops = &stats().addCounter("fault_drops");
+    faults_.corrupts = &stats().addCounter("fault_corrupts");
+    faults_.dups = &stats().addCounter("fault_dups");
     nUnrouted_ = &stats().addCounter("unrouted_drops");
     nFlooded_ = &stats().addCounter("flooded_frames");
+}
+
+EthSwitch::SwitchPort::SwitchPort(EthSwitch &owner, std::uint32_t i)
+    : WireSerializer(owner, i, owner.params_.bitsPerSec,
+                     owner.params_.propagation, owner.faults_, *this),
+      sw(owner)
+{
+    std::string p = "p" + std::to_string(i);
+    rxPayload = &sw.stats().addCounter(p + "_rx_payload_bytes");
+    drops = &sw.stats().addCounter(p + "_egress_drops");
+    dropBytes = &sw.stats().addCounter(p + "_egress_drop_bytes");
 }
 
 Port &
@@ -46,13 +47,6 @@ EthSwitch::bind(LinkEndpoint &ep)
 
 Port &
 EthSwitch::port(std::uint32_t i)
-{
-    SIM_ASSERT(i < ports_.size(), "switch port index out of range");
-    return ports_[i];
-}
-
-const Port &
-EthSwitch::port(std::uint32_t i) const
 {
     SIM_ASSERT(i < ports_.size(), "switch port index out of range");
     return ports_[i];
@@ -74,99 +68,8 @@ EthSwitch::totalDrops() const
     return n;
 }
 
-std::uint64_t
-EthSwitch::totalDropBytes() const
-{
-    std::uint64_t n = 0;
-    for (const auto &p : ports_)
-        n += p.dropBytes->value();
-    return n;
-}
-
-std::uint64_t
-EthSwitch::maxQueuePeakBytes() const
-{
-    std::uint64_t n = 0;
-    for (const auto &p : ports_)
-        n = std::max(n, p.qPeakBytes);
-    return n;
-}
-
-sim::Time
-EthSwitch::SwitchPort::estimate(const Packet &pkt) const
-{
-    sim::Time start = std::max(sw->now(), inBusyUntil);
-    return start + static_cast<sim::Time>(
-        sw->psPerByte_ * static_cast<double>(pkt.wireBytes()));
-}
-
-bool
-EthSwitch::SwitchPort::busy() const
-{
-    return inBusyUntil > sw->now();
-}
-
-sim::Time
-EthSwitch::doSend(SwitchPort &from, Packet pkt, sim::Time extra_gap,
-                  std::function<void()> serialized)
-{
-    from.txFrames->inc(pkt.wireFrames());
-    from.txPayload->inc(pkt.payloadBytes);
-
-    sim::Time start = std::max(now(), from.inBusyUntil);
-    auto wire = static_cast<sim::Time>(
-        psPerByte_ * static_cast<double>(pkt.wireBytes()));
-    sim::Time end = start + wire;
-    from.inBusyUntil = end + extra_gap;
-
-    if (serialized)
-        events().scheduleAt(end, std::move(serialized));
-    if (from.hook())
-        events().scheduleAt(from.inBusyUntil, [this, &from] {
-            // A later send pushed inBusyUntil forward: that send's own
-            // hook event covers the eventual drain.
-            if (from.hook() && from.inBusyUntil <= now())
-                from.hook()();
-        });
-
-    // Same per-wire fault model as EthLink: the endpoint-to-switch
-    // cable can drop, corrupt, or duplicate.  A corrupted frame is
-    // still switched -- it consumes egress buffer and wire time all the
-    // way to the receiver, whose checksum check finally discards it.
-    auto fate = sim::FaultInjector::FrameFault::kNone;
-    if (sim::FaultInjector *fi = ctx().faultInjector();
-        fi && fi->framesArmed())
-        fate = fi->frameFault();
-    if (fate == sim::FaultInjector::FrameFault::kDrop) {
-        faultDrops_->inc();
-        return end;
-    }
-    if (fate == sim::FaultInjector::FrameFault::kCorrupt) {
-        faultCorrupts_->inc();
-        pkt.intact = false;
-    }
-
-    pkt.hostSg.clear();
-    Packet dup;
-    if (fate == sim::FaultInjector::FrameFault::kDuplicate) {
-        faultDups_->inc();
-        dup = pkt;
-        dup.duplicated = true;
-    }
-    events().scheduleAt(end + params_.propagation,
-                        [this, &from, p = std::move(pkt)]() mutable {
-                            forward(from, std::move(p));
-                        });
-    if (fate == sim::FaultInjector::FrameFault::kDuplicate)
-        events().scheduleAt(end + params_.propagation,
-                            [this, &from, p = std::move(dup)]() mutable {
-                                forward(from, std::move(p));
-                            });
-    return end;
-}
-
 void
-EthSwitch::forward(SwitchPort &ingress, Packet pkt)
+EthSwitch::forward(SwitchPort &ingress, Packet &&pkt)
 {
     if (params_.learning && !(pkt.src == MacAddr{}))
         fdb_[pkt.src] = ingress.index();
@@ -255,8 +158,6 @@ SwitchTrunk::SwitchTrunk(sim::SimContext &ctx, std::string name, Fabric &a,
 {
     nAToB_ = &stats().addCounter("relayed_a_to_b");
     nBToA_ = &stats().addCounter("relayed_b_to_a");
-    endA_.trunk = this;
-    endB_.trunk = this;
     endA_.other = &endB_;
     endB_.other = &endA_;
     endA_.relayed = nAToB_;

@@ -22,12 +22,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
-#include <vector>
 
 #include "net/fabric.hh"
 #include "net/packet.hh"
+#include "net/wire_serializer.hh"
 #include "sim/sim_object.hh"
 
 namespace cdna::net {
@@ -62,12 +61,6 @@ class EthSwitch : public sim::SimObject, public Fabric
 
     /** Port @p i's handle (bound or not; tests peek at counters). */
     Port &port(std::uint32_t i);
-    const Port &port(std::uint32_t i) const;
-
-    std::uint32_t numPorts() const
-    {
-        return static_cast<std::uint32_t>(ports_.size());
-    }
 
     /** Pin @p mac to egress port @p port; beats the learned table. */
     void setRoute(MacAddr mac, std::uint32_t port);
@@ -77,9 +70,6 @@ class EthSwitch : public sim::SimObject, public Fabric
 
     /** Sum of egress tail-drops over all ports. */
     std::uint64_t totalDrops() const;
-    std::uint64_t totalDropBytes() const;
-    /** Largest egress-queue high-watermark over all ports. */
-    std::uint64_t maxQueuePeakBytes() const;
 
   private:
     struct QEntry
@@ -89,15 +79,13 @@ class EthSwitch : public sim::SimObject, public Fabric
         sim::Time readyAt = 0;
     };
 
-    struct SwitchPort final : Port
+    /** Port i: the ingress wire into forward(), and the egress queue. */
+    struct SwitchPort final : LinkEndpoint, WireSerializer
     {
-        EthSwitch *sw = nullptr;
-        LinkEndpoint *ep = nullptr;
+        SwitchPort(EthSwitch &sw, std::uint32_t i);
 
-        // Ingress: the endpoint's wire into the switch.
-        sim::Time inBusyUntil = 0;
-        sim::Counter *txFrames = nullptr;
-        sim::Counter *txPayload = nullptr;
+        EthSwitch &sw;
+        LinkEndpoint *ep = nullptr;
 
         // Egress: the finite output queue and its wire out.
         std::deque<QEntry> q;
@@ -109,21 +97,6 @@ class EthSwitch : public sim::SimObject, public Fabric
         sim::Counter *drops = nullptr;
         sim::Counter *dropBytes = nullptr;
 
-        void setIndex(std::uint32_t i) { index_ = i; }
-        const std::function<void()> &hook() const { return drainHook_; }
-
-        sim::Time send(Packet pkt, sim::Time extra_gap,
-                       std::function<void()> serialized) override
-        {
-            return sw->doSend(*this, std::move(pkt), extra_gap,
-                              std::move(serialized));
-        }
-        sim::Time estimate(const Packet &pkt) const override;
-        bool busy() const override;
-        std::uint64_t payloadCarried() const override
-        {
-            return txPayload->value();
-        }
         std::uint64_t payloadDelivered() const override
         {
             return rxPayload->value();
@@ -137,12 +110,15 @@ class EthSwitch : public sim::SimObject, public Fabric
             return dropBytes->value();
         }
         std::uint64_t queuePeakBytes() const override { return qPeakBytes; }
+        /** The ingress wire delivered a frame: switch it. */
+        void receiveFrame(Packet pkt) override
+        {
+            sw.forward(*this, std::move(pkt));
+        }
     };
 
-    sim::Time doSend(SwitchPort &from, Packet pkt, sim::Time extra_gap,
-                     std::function<void()> serialized);
     /** A frame has fully arrived on @p ingress: look up and enqueue. */
-    void forward(SwitchPort &ingress, Packet pkt);
+    void forward(SwitchPort &ingress, Packet &&pkt);
     /** Enqueue one copy on @p out (tail-drop on overflow). */
     void enqueue(SwitchPort &out, Packet pkt);
     /** Start the next eligible egress transmission on @p out. */
@@ -150,13 +126,11 @@ class EthSwitch : public sim::SimObject, public Fabric
 
     EthSwitchParams params_;
     double psPerByte_;
-    std::vector<SwitchPort> ports_;
+    WireFaultStats faults_;
+    std::deque<SwitchPort> ports_;
     std::uint32_t bound_ = 0;
     std::map<MacAddr, std::uint32_t> routes_;
     std::map<MacAddr, std::uint32_t> fdb_;
-    sim::Counter *faultDrops_ = nullptr;
-    sim::Counter *faultCorrupts_ = nullptr;
-    sim::Counter *faultDups_ = nullptr;
     sim::Counter *nUnrouted_ = nullptr;
     sim::Counter *nFlooded_ = nullptr;
 };
@@ -184,7 +158,6 @@ class SwitchTrunk : public sim::SimObject
   private:
     struct End final : LinkEndpoint
     {
-        SwitchTrunk *trunk = nullptr;
         Port *port = nullptr;        // this end's port
         End *other = nullptr;        // the far end
         sim::Counter *relayed = nullptr;

@@ -7,9 +7,13 @@
  * output-queued EthSwitch.  Endpoints (NICs, traffic peers, trunks)
  * never see the fabric topology -- they bind() themselves and get back
  * a Port handle carrying the full datapath surface: send with a
- * serialization-complete callback, busy/estimate for backpressure, an
- * optional drain hook that fires when the port's serializer goes idle,
- * and the port-local byte/drop accounting the reports read.
+ * serialization-complete callback, busy() for backpressure, and the
+ * port-local byte/drop accounting the reports read.  Both fabrics put
+ * an endpoint's frames on the wire through one cable model,
+ * net::WireSerializer: queued frames wait in its FIFO as data, only the
+ * head frame holds scheduled events, and every frame's event sequence
+ * numbers are reserved at send time, so events run exactly in the order
+ * eager scheduling would give them.
  *
  * This is what lets a System stay fabric-agnostic: the same NIC model
  * drives a dedicated link in the paper's single-host experiments and a
@@ -21,10 +25,9 @@
 #define CDNA_NET_FABRIC_HH
 
 #include <cstdint>
-#include <functional>
-#include <utility>
 
 #include "net/packet.hh"
+#include "sim/event_queue.hh"
 #include "sim/time.hh"
 
 namespace cdna::net {
@@ -42,10 +45,10 @@ class LinkEndpoint
 /**
  * One endpoint's handle onto a fabric.
  *
- * The handle is per-endpoint: busy(), the serialized callback, and the
- * drain hook all describe *this port's* ingress serializer, never the
- * whole fabric, so two endpoints sharing a switch cannot observe (or
- * stall on) each other's transmit state.
+ * The handle is per-endpoint: busy() and the serialized callback
+ * describe *this port's* ingress serializer, never the whole fabric, so
+ * two endpoints sharing a switch cannot observe (or stall on) each
+ * other's transmit state.
  */
 class Port
 {
@@ -60,10 +63,7 @@ class Port
      * @return time at which serialization completes
      */
     virtual sim::Time send(Packet pkt, sim::Time extra_gap = 0,
-                           std::function<void()> serialized = {}) = 0;
-
-    /** Serialization-complete time for a hypothetical send issued now. */
-    virtual sim::Time estimate(const Packet &pkt) const = 0;
+                           sim::InplaceCallback serialized = {}) = 0;
 
     /** True while this port's ingress serializer is occupied. */
     virtual bool busy() const = 0;
@@ -84,21 +84,8 @@ class Port
     /** Position of this port on its fabric (bind order). */
     std::uint32_t index() const { return index_; }
 
-    /**
-     * Backpressure resume: @p hook fires whenever a send completes
-     * serialization and the port is idle again.  Per-port by
-     * construction -- an endpoint only ever hears about its own
-     * serializer.  Unset by default, in which case the fabric
-     * schedules nothing.
-     */
-    void setDrainHook(std::function<void()> hook)
-    {
-        drainHook_ = std::move(hook);
-    }
-
   protected:
     std::uint32_t index_ = 0;
-    std::function<void()> drainHook_;
 };
 
 /** A frame-moving device with bind-order port allocation. */

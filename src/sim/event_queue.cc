@@ -30,6 +30,46 @@ EventId
 EventQueue::scheduleAt(Time when, Callback fn)
 {
     SIM_ASSERT(when >= now_, "scheduling into the past");
+    return push(when, nextSeq_++, std::move(fn));
+}
+
+std::uint64_t
+EventQueue::reserveSeq()
+{
+    std::uint64_t seq = nextSeq_++;
+    std::uint64_t w = seq / 64;
+    if (resLo_ == resHi_)
+        resLo_ = w;
+    while (w - resLo_ >= resBits_.size()) {
+        std::vector<std::uint64_t> old(resBits_.size() * 2);
+        old.swap(resBits_);
+        for (std::uint64_t i = resLo_; i < resHi_; ++i)
+            resWord(i) = old[i & (old.size() - 1)];
+    }
+    resHi_ = w + 1;
+    resWord(w) |= std::uint64_t{1} << (seq % 64);
+    return seq;
+}
+
+EventId
+EventQueue::scheduleAtSeq(Time when, std::uint64_t seq, Callback fn)
+{
+    std::uint64_t w = seq / 64;
+    std::uint64_t &word = resWord(w);
+    std::uint64_t bit = std::uint64_t{1} << (seq % 64);
+    SIM_ASSERT(w >= resLo_ && w < resHi_ && (word & bit),
+               "sequence number never reserved, or already used");
+    word &= ~bit;
+    while (resLo_ < resHi_ && resWord(resLo_) == 0)
+        ++resLo_;
+    SIM_ASSERT(when >= now_ && last_.before(HeapEntry{when, seq, 0}),
+               "reserved event scheduled after its dispatch position");
+    return push(when, seq, std::move(fn));
+}
+
+EventId
+EventQueue::push(Time when, std::uint64_t seq, Callback &&fn)
+{
     std::uint32_t slot;
     if (!free_.empty()) {
         slot = free_.back();
@@ -42,7 +82,7 @@ EventQueue::scheduleAt(Time when, Callback fn)
     Node &n = pool_[slot];
     n.fn = std::move(fn);
     n.heapIndex = static_cast<std::uint32_t>(heap_.size());
-    heap_.push_back(HeapEntry{when, nextSeq_++, slot});
+    heap_.push_back(HeapEntry{when, seq, slot});
     siftUp(n.heapIndex);
     return makeId(n.gen, slot);
 }
@@ -78,6 +118,7 @@ EventQueue::runOne()
     const HeapEntry top = heap_.front();
     SIM_ASSERT(top.when >= now_, "event queue time went backwards");
     now_ = top.when;
+    last_ = top;
     ++dispatched_;
     // Move the callback out and recycle the node *before* invoking, so
     // the callback is free to schedule new events into the slot.

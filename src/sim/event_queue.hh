@@ -184,6 +184,17 @@ class EventQueue
     EventId scheduleAt(Time when, Callback fn);
 
     /**
+     * Deferred scheduling in the eager position: reserveSeq() takes the
+     * FIFO tie-break position an event scheduled right now would get,
+     * and scheduleAtSeq() later schedules @p fn at @p when in it, so it
+     * dispatches exactly where scheduleAt() would have put it.  Each
+     * reservation is used once, before any event ordered after it has
+     * dispatched; anything else panics.
+     */
+    std::uint64_t reserveSeq();
+    EventId scheduleAtSeq(Time when, std::uint64_t seq, Callback fn);
+
+    /**
      * Cancel a pending event.
      * @retval true the event was pending and is now cancelled
      * @retval false the handle was invalid, already fired, or cancelled
@@ -248,6 +259,12 @@ class EventQueue
         }
     };
 
+    EventId push(Time when, std::uint64_t seq, Callback &&fn);
+    std::uint64_t &
+    resWord(std::uint64_t w)
+    {
+        return resBits_[w & (resBits_.size() - 1)];
+    }
     void siftUp(std::uint32_t pos);
     void siftDown(std::uint32_t pos);
     void heapRemove(std::uint32_t pos);
@@ -256,6 +273,13 @@ class EventQueue
     Time now_ = 0;
     std::uint64_t nextSeq_ = 1;
     std::uint64_t dispatched_ = 0;
+    HeapEntry last_{0, 0, 0};          //!< key of the last dispatched event
+    /** Outstanding reservations, one bit per sequence number: word
+     *  seq / 64 sits in ring slot (seq / 64) % size (a power of two).
+     *  Only words in [resLo_, resHi_) can be nonzero. */
+    std::vector<std::uint64_t> resBits_ = std::vector<std::uint64_t>(64);
+    std::uint64_t resLo_ = 0;
+    std::uint64_t resHi_ = 0;
     std::vector<Node> pool_;           //!< slot-addressed node storage
     std::vector<std::uint32_t> free_;  //!< recyclable pool slots
     std::vector<HeapEntry> heap_;      //!< 4-ary min-heap

@@ -42,6 +42,7 @@ Hypervisor::Hypervisor(sim::SimContext &ctx, cpu::SimCpu &cpu,
       nFaults_(stats().addCounter("faults")),
       nCxtTraps_(stats().addCounter("context_traps"))
 {
+    cpu_.setHypervisorLane(traceLane());
 }
 
 Domain &

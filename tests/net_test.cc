@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "net/eth_link.hh"
 #include "net/packet.hh"
 #include "net/traffic_peer.hh"
@@ -169,6 +174,91 @@ TEST(EthLink, HostSgClearedOnWire)
     ctx.events().run();
     ASSERT_EQ(sink.got.size(), 1u);
     EXPECT_TRUE(sink.got[0].hostSg.empty());
+}
+
+TEST(EthLink, DeepBacklogKeepsPendingEventsConstant)
+{
+    // A sender that queues 1,000 frames at once (a NIC's deep transmit
+    // buffer) leaves only the head frame's events in the queue, yet
+    // every callback and delivery fires at the eager arithmetic's time.
+    sim::SimContext ctx;
+    const sim::Time prop = sim::nanoseconds(500);
+    EthLink link(ctx, "eth", 1.0e9, prop);
+    struct Timed : LinkEndpoint
+    {
+        sim::EventQueue *eq = nullptr;
+        std::vector<std::pair<std::uint64_t, sim::Time>> got;
+        void
+        receiveFrame(Packet pkt) override
+        {
+            got.emplace_back(pkt.id, eq->now());
+        }
+    } sink;
+    sink.eq = &ctx.events();
+    link.bind(sink);
+
+    constexpr int kFrames = 1000;
+    std::vector<sim::Time> serialized;
+    for (int i = 0; i < kFrames; ++i) {
+        Packet p;
+        p.payloadBytes = kMss;
+        p.id = i;
+        link.port(1).send(std::move(p), 0,
+                          [&] { serialized.push_back(ctx.now()); });
+    }
+    std::size_t peak = ctx.events().pendingCount();
+    while (ctx.events().runOne())
+        peak = std::max(peak, ctx.events().pendingCount());
+    EXPECT_LE(peak, 4u);
+
+    const sim::Time wire = sim::nanoseconds(1538 * 8);
+    ASSERT_EQ(serialized.size(), std::size_t(kFrames));
+    ASSERT_EQ(sink.got.size(), std::size_t(kFrames));
+    for (int i = 0; i < kFrames; ++i) {
+        EXPECT_EQ(serialized[i], (i + 1) * wire) << i;
+        EXPECT_EQ(sink.got[i].first, std::uint64_t(i));
+        EXPECT_EQ(sink.got[i].second, (i + 1) * wire + prop) << i;
+    }
+}
+
+TEST(EthLink, ForeignEventAtDeliveryTimeKeepsSendOrder)
+{
+    // Frame k is queued behind earlier frames, so its events are
+    // scheduled only when they reach the head of the wire.  An unrelated
+    // event scheduled after send k at frame k's serialized/delivery
+    // time (zero propagation: both are the same instant) must still
+    // run after frame k's callback and delivery and before frame k+1's,
+    // as it would if every event had been scheduled at send time.
+    sim::SimContext ctx;
+    EthLink link(ctx, "eth", 1.0e9, 0);
+    struct Log : LinkEndpoint
+    {
+        std::vector<std::string> *log = nullptr;
+        void
+        receiveFrame(Packet pkt) override
+        {
+            log->push_back("d" + std::to_string(pkt.id));
+        }
+    } sink;
+    std::vector<std::string> log;
+    sink.log = &log;
+    link.bind(sink);
+
+    constexpr int kFrames = 5, kForeign = 2;
+    for (int i = 0; i < kFrames; ++i) {
+        Packet p;
+        p.payloadBytes = kMss;
+        p.id = i;
+        sim::Time end = link.port(1).send(
+            std::move(p), 0,
+            [&log, i] { log.push_back("s" + std::to_string(i)); });
+        if (i == kForeign)
+            ctx.events().scheduleAt(end, [&log] { log.push_back("f"); });
+    }
+    ctx.events().run();
+    EXPECT_EQ(log, (std::vector<std::string>{"s0", "d0", "s1", "d1", "s2",
+                                             "d2", "f", "s3", "d3", "s4",
+                                             "d4"}));
 }
 
 // ---------------------------------------------------------------- peer ----

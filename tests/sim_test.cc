@@ -73,6 +73,95 @@ TEST(EventQueue, EqualTimesFifo)
         EXPECT_EQ(order[i], i);
 }
 
+TEST(EventQueue, ReservedSeqBreaksTiesInReservationOrder)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    eq.scheduleAt(10, [&] { order.push_back(0); });
+    std::uint64_t r1 = eq.reserveSeq();
+    eq.scheduleAt(10, [&] { order.push_back(2); });
+    std::uint64_t r3 = eq.reserveSeq();
+    std::uint64_t r4 = eq.reserveSeq();
+    eq.scheduleAt(10, [&] { order.push_back(5); });
+    // The reserved events are scheduled only later, out of order.
+    eq.scheduleAt(5, [&] {
+        eq.scheduleAtSeq(10, r4, [&] { order.push_back(4); });
+        eq.scheduleAtSeq(10, r1, [&] { order.push_back(1); });
+        eq.scheduleAtSeq(10, r3, [&] { order.push_back(3); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+
+    // The same program run eagerly and with every third event deferred
+    // (hundreds of reservations, many equal-time ties) dispatches
+    // identically.
+    auto program = [](bool deferred) {
+        EventQueue q;
+        std::vector<int> got;
+        struct Held
+        {
+            Time when;
+            std::uint64_t seq;
+            int id;
+        };
+        std::vector<Held> held;
+        for (int i = 0; i < 300; ++i) {
+            Time when = 100 + (i % 7) * 10;
+            if (deferred && i % 3 == 0)
+                held.push_back({when, q.reserveSeq(), i});
+            else
+                q.scheduleAt(when, [&got, i] { got.push_back(i); });
+        }
+        q.scheduleAt(50, [&] {
+            for (auto h = held.rbegin(); h != held.rend(); ++h)
+                q.scheduleAtSeq(h->when, h->seq,
+                                [&got, id = h->id] { got.push_back(id); });
+        });
+        q.run();
+        return got;
+    };
+    EXPECT_EQ(program(true), program(false));
+}
+
+TEST(EventQueueDeathTest, UnreservedOrReusedSeqPanics)
+{
+    // Never reserved.
+    EXPECT_DEATH(
+        {
+            EventQueue eq;
+            eq.scheduleAtSeq(10, 7, [] {});
+        },
+        "assertion failed");
+    // Issued to an eager event, not reserved.
+    EXPECT_DEATH(
+        {
+            EventQueue eq;
+            eq.reserveSeq();
+            eq.scheduleAt(5, [] {});
+            eq.scheduleAtSeq(10, 2, [] {});
+        },
+        "assertion failed");
+    // Used twice.
+    EXPECT_DEATH(
+        {
+            EventQueue eq;
+            std::uint64_t s = eq.reserveSeq();
+            eq.scheduleAtSeq(10, s, [] {});
+            eq.scheduleAtSeq(10, s, [] {});
+        },
+        "assertion failed");
+    // Scheduled after an event ordered behind it has already run.
+    EXPECT_DEATH(
+        {
+            EventQueue eq;
+            std::uint64_t s = eq.reserveSeq();
+            eq.scheduleAt(10, [] {});
+            eq.run();
+            eq.scheduleAtSeq(10, s, [] {});
+        },
+        "assertion failed");
+}
+
 TEST(EventQueue, CancelPreventsDispatch)
 {
     EventQueue eq;

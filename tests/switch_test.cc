@@ -2,17 +2,20 @@
  * @file
  * Unit tests for the output-queued Ethernet switch: forwarding and
  * learning, FIFO ordering, finite-buffer tail drop, store-and-forward
- * latency, and the per-port drain/backpressure surface two endpoints
- * share without starving each other.
+ * latency, the per-port busy/serialized surface two endpoints share
+ * without starving each other, and the ingress wire's fault fates.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "net/eth_switch.hh"
 #include "net/packet.hh"
 #include "net/traffic_peer.hh"
+#include "sim/fault_injector.hh"
 #include "sim/sim_object.hh"
 
 using namespace cdna;
@@ -225,7 +228,7 @@ TEST(Switch, CorruptFramesConsumeBuffer)
     EXPECT_EQ(b.got.size(), 12u - sw.totalDrops());
 }
 
-TEST(Switch, PerPortBusyAndDrainAreIndependent)
+TEST(Switch, PerPortBusyAndSerializedAreIndependent)
 {
     sim::SimContext ctx;
     EthSwitch sw(ctx, "sw", 3);
@@ -236,22 +239,77 @@ TEST(Switch, PerPortBusyAndDrainAreIndependent)
 
     auto mc = MacAddr::fromId(3);
     sw.setRoute(mc, 2);
-    int a_drained = 0, b_drained = 0;
-    pa.setDrainHook([&] { ++a_drained; });
-    pb.setDrainHook([&] { ++b_drained; });
+    int a_serialized = 0, b_serialized = 0;
 
-    pa.send(frame(MacAddr::fromId(1), mc));
+    pa.send(frame(MacAddr::fromId(1), mc), 0, [&] { ++a_serialized; });
     // Port a's ingress serializer is busy; port b's is not -- the
     // handles never alias each other's transmit state.
     EXPECT_TRUE(pa.busy());
     EXPECT_FALSE(pb.busy());
-    pb.send(frame(MacAddr::fromId(2), mc));
+    pb.send(frame(MacAddr::fromId(2), mc), 0, [&] { ++b_serialized; });
     EXPECT_TRUE(pb.busy());
     ctx.events().run();
     EXPECT_FALSE(pa.busy());
     EXPECT_FALSE(pb.busy());
-    EXPECT_EQ(a_drained, 1);
-    EXPECT_EQ(b_drained, 1);
+    EXPECT_EQ(a_serialized, 1);
+    EXPECT_EQ(b_serialized, 1);
+}
+
+TEST(Switch, IngressFaultFatesDropAndDuplicateInPlace)
+{
+    // The ingress wire draws one fate per frame at send time: a dropped
+    // frame never reaches the switch, and a duplicate is switched
+    // directly behind its original.  A second injector with the same
+    // seed replays the fates the switch must have drawn.
+    sim::SimContext ctx;
+    sim::FaultRates rates;
+    rates.frameDrop = 0.2;
+    rates.frameDuplicate = 0.2;
+    sim::FaultInjector fi(ctx, "faults", 5, rates);
+    ctx.setFaultInjector(&fi);
+    EthSwitchParams params;
+    params.bufBytesPerPort = 0;
+    EthSwitch sw(ctx, "sw", 2, params);
+    Sink a, b;
+    Port &pa = sw.bind(a);
+    sw.bind(b);
+    auto mb = MacAddr::fromId(2);
+    sw.setRoute(mb, 1);
+
+    constexpr int kFrames = 200;
+    for (int i = 0; i < kFrames; ++i) {
+        Packet p = frame(MacAddr::fromId(1), mb);
+        p.id = i;
+        pa.send(std::move(p));
+    }
+    ctx.events().run();
+
+    sim::SimContext replay_ctx;
+    sim::FaultInjector replay(replay_ctx, "faults", 5, rates);
+    using Fault = sim::FaultInjector::FrameFault;
+    std::vector<std::pair<std::uint64_t, bool>> expect;
+    std::uint64_t drops = 0, dups = 0;
+    for (int i = 0; i < kFrames; ++i) {
+        Fault f = replay.frameFault();
+        if (f == Fault::kDrop) {
+            ++drops;
+            continue;
+        }
+        expect.emplace_back(i, false);
+        if (f == Fault::kDuplicate) {
+            ++dups;
+            expect.emplace_back(i, true);
+        }
+    }
+    std::vector<std::pair<std::uint64_t, bool>> got;
+    for (const auto &p : b.got)
+        got.emplace_back(p.id, p.duplicated);
+    EXPECT_EQ(got, expect);
+    EXPECT_GT(drops, 0u);
+    EXPECT_GT(dups, 0u);
+    EXPECT_EQ(sw.stats().findCounter("fault_drops")->value(), drops);
+    EXPECT_EQ(sw.stats().findCounter("fault_dups")->value(), dups);
+    EXPECT_EQ(sw.totalDrops(), 0u);
 }
 
 TEST(Switch, SharedEgressQueueNeverStarvesEitherSender)

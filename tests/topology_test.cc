@@ -5,11 +5,13 @@
  * guest -> NIC -> switch -> NIC -> guest, multi-host runs are
  * deterministic, a noisy neighbor on a shared uplink measurably
  * degrades a victim host, every host's components carry distinct
- * names, and each host's report counts only its own components.
+ * names and trace lanes, and each host's report counts only its own
+ * components.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 
@@ -194,6 +196,34 @@ TEST(Topology, ComponentNamesAreUniqueAcrossHosts)
     EXPECT_EQ(names.count("phys-mem"), 1u);
     EXPECT_EQ(names.count("h1.grant-table"), 1u);
     EXPECT_EQ(names.count("h2.availability"), 1u);
+}
+
+TEST(Topology, HypervisorTraceLanePerHost)
+{
+    // Each host's hypervisor execution spans land on its own
+    // hypervisor component's lane; host 0 keeps "hypervisor".
+    sim::Topology topo;
+    topo.ctx().tracer().enable();
+    auto &sw = topo.addSwitch("sw", 4);
+    auto &h0 = topo.addHost(core::SystemConfig::xenIntel(1).withNics(1),
+                            {&sw});
+    auto &h1 = topo.addHost(
+        core::SystemConfig::xenIntel(2).receive().withNics(1), {&sw});
+    topo.run(sim::milliseconds(1), sim::milliseconds(4));
+
+    const sim::Tracer &tr = topo.ctx().tracer();
+    ASSERT_EQ(tr.droppedCount(), 0u);
+    std::map<std::string, std::uint64_t> spans;
+    const std::string json = tr.toChromeJson();
+    const std::string key = "{\"name\":\"hv\",\"ph\":\"X\",\"pid\":0,\"tid\":";
+    for (auto at = json.find(key); at != std::string::npos;
+         at = json.find(key, at + 1))
+        ++spans[tr.laneName(std::stoul(json.substr(at + key.size())))];
+    EXPECT_EQ(spans.size(), 2u);
+    EXPECT_GT(h0.cpu().hvItemsRun(), 0u);
+    EXPECT_GT(h1.cpu().hvItemsRun(), 0u);
+    EXPECT_EQ(spans["hypervisor"], h0.cpu().hvItemsRun());
+    EXPECT_EQ(spans["h1.hypervisor"], h1.cpu().hvItemsRun());
 }
 
 namespace {

@@ -113,6 +113,7 @@ class CdnaGuestDriver : public sim::SimObject, public os::NetDevice
     std::uint32_t txEnqueued_ = 0;
     std::uint32_t txDrained_ = 0;
     bool txFlushPending_ = false;
+    bool txHypercallBusy_ = false;
     bool txWasFull_ = false;
 
     // RX

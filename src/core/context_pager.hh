@@ -77,6 +77,7 @@ class ContextPager : public sim::SimObject
     std::optional<CdnaNic::ContextId> pickVictim() const;
 
     EvictPolicy policy() const { return policy_; }
+    std::uint64_t switchesQueuedPeak() const { return queuePeak_; }
 
   private:
     void pump();
@@ -91,6 +92,7 @@ class ContextPager : public sim::SimObject
 
     std::deque<CdnaNic::ContextId> pending_;
     std::optional<CdnaNic::ContextId> current_;
+    std::uint64_t queuePeak_ = 0;
 };
 
 } // namespace cdna::core

@@ -77,6 +77,7 @@ class PhysMemory : public sim::SimObject
     PhysMemory(sim::SimContext &ctx, std::uint64_t total_pages,
                std::string name = "phys-mem");
 
+    std::uint64_t totalPages() const { return pages_.size(); }
     std::uint64_t freePages() const { return freeList_.size(); }
 
     /**

@@ -65,11 +65,18 @@ class EthLink : public sim::SimObject, public Fabric
         {
             return rxPayload.value();
         }
+        sim::Time
+        send(Packet pkt, sim::Time extra_gap,
+             sim::InplaceCallback serialized) override
+        {
+            SIM_ASSERT(far.ep != nullptr, "link far endpoint not bound");
+            return WireSerializer::send(std::move(pkt), extra_gap,
+                                        std::move(serialized));
+        }
         /** This port's wire delivered a frame to the far endpoint. */
         void
         receiveFrame(Packet pkt) override
         {
-            SIM_ASSERT(far.ep != nullptr, "link far endpoint not bound");
             far.rxPayload.inc(pkt.payloadBytes);
             far.ep->receiveFrame(std::move(pkt));
         }

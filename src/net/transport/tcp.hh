@@ -115,6 +115,7 @@ class TcpSenderFlow
     std::uint64_t cwnd() const { return cwnd_; }
     std::uint64_t ssthresh() const { return ssthresh_; }
     std::uint64_t sndUna() const { return sndUna_; }
+    std::uint64_t sndNxt() const { return sndNxt_; }
     std::uint64_t inFlight() const { return sndNxt_ - sndUna_; }
     bool inRecovery() const { return inRecovery_; }
     sim::Time rto() const { return rto_; }
@@ -300,6 +301,7 @@ class TcpEndpoint : public sim::SimObject
     std::uint64_t dupAcksRx() const;
     std::uint64_t acksSent() const;
     std::uint64_t deliveredBytes() const { return nDelivered_.value(); }
+    std::uint64_t acksReceived() const { return nAcksRx_.value(); }
 
     /** Sum of cumulatively ACKed bytes across sender flows (the
      *  closed-loop progress basis of a sender's goodput). */
@@ -307,6 +309,7 @@ class TcpEndpoint : public sim::SimObject
 
     /** Sum of sender-flow congestion windows (cwnd-trajectory gauge). */
     double cwndBytes() const;
+    std::uint64_t senderFlows() const { return senders_.size(); }
 
     /** Direct flow access (tests, probes). */
     TcpSenderFlow *senderFlow(std::uint64_t flow_id);

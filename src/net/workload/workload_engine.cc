@@ -70,6 +70,16 @@ WorkloadEngine::start()
     }
 }
 
+double
+WorkloadEngine::offeredRatePerSec() const
+{
+    double sum = 0.0;
+    for (const auto &fc : spec_.classes)
+        if (fc.arrival != Arrival::kClosedLoop && fc.ratePerSec > 0.0)
+            sum += fc.ratePerSec;
+    return sum;
+}
+
 sim::Time
 WorkloadEngine::drawInterarrival(const FlowClass &fc)
 {

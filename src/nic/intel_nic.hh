@@ -28,6 +28,8 @@ namespace cdna::nic {
 /** Configuration of an IntelNic. */
 struct IntelNicParams
 {
+    std::uint32_t txRingEntries = 256;
+    std::uint32_t rxRingEntries = 256;
     std::uint64_t txBufferBytes = 256 * 1024;
     std::uint64_t rxBufferBytes = 256 * 1024;
     CoalesceParams coalesce{};
@@ -100,7 +102,9 @@ class IntelNic : public NicBase
 
     // --- stats -----------------------------------------------------------
     std::uint64_t txPackets() const { return nTxPackets_.value(); }
+    std::uint64_t txPayloadBytes() const { return nTxPayload_.value(); }
     std::uint64_t rxPackets() const { return nRxPackets_.value(); }
+    std::uint64_t rxPayloadBytes() const { return nRxPayload_.value(); }
 
     const IntelNicParams &params() const { return params_; }
 

@@ -91,6 +91,7 @@ class NativeDriver : public sim::SimObject, public NetDevice
     // RX
     std::uint32_t rxProducer_ = 0;
     std::vector<mem::PageNum> rxSlotPage_;
+    std::deque<mem::PageNum> rxFreePages_;
     bool autoRefill_ = true;
     bool rxPioPending_ = false;
 

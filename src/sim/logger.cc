@@ -39,6 +39,12 @@ Logger::setGlobalLevel(LogLevel lvl)
     g_level.store(lvl, std::memory_order_relaxed);
 }
 
+LogLevel
+Logger::globalLevel()
+{
+    return g_level.load(std::memory_order_relaxed);
+}
+
 void
 Logger::setLevel(LogLevel lvl)
 {
@@ -77,6 +83,7 @@ Logger::emit(LogLevel lvl, const char *fmt, va_list ap) const
 void Logger::error(const char *fmt, ...) const { CDNA_LOG_BODY(LogLevel::kError); }
 void Logger::warn(const char *fmt, ...) const { CDNA_LOG_BODY(LogLevel::kWarn); }
 void Logger::info(const char *fmt, ...) const { CDNA_LOG_BODY(LogLevel::kInfo); }
+void Logger::debug(const char *fmt, ...) const { CDNA_LOG_BODY(LogLevel::kDebug); }
 void Logger::trace(const char *fmt, ...) const { CDNA_LOG_BODY(LogLevel::kTrace); }
 
 #undef CDNA_LOG_BODY

@@ -110,6 +110,8 @@ class SwptValidator : public sim::SimObject
     std::uint64_t descRejected() const { return nRejected_.value(); }
     /** Hypervisor CPU time spent on the doorbell/validation path. */
     sim::Time validationTime() const { return validationTime_; }
+    std::uint64_t rxDemuxDrops() const { return nRxDemuxDrop_.value(); }
+    std::uint64_t rxNoBufDrops() const { return nRxNoBuf_.value(); }
 
     nic::IntelNic &nic() { return nic_; }
 

@@ -176,6 +176,20 @@ TEST(EthLink, HostSgClearedOnWire)
     EXPECT_TRUE(sink.got[0].hostSg.empty());
 }
 
+TEST(EthLinkDeathTest, SendTowardUnboundEndpointPanicsAtSend)
+{
+    // Port 0 is bound and port 1 is not: the send itself panics, before
+    // any event runs (or a fault fate drops the frame and hides it).
+    EXPECT_DEATH(
+        {
+            sim::SimContext ctx;
+            EthLink link(ctx, "eth");
+            Sink sink;
+            link.bind(sink).send(Packet{});
+        },
+        "far.ep != nullptr");
+}
+
 TEST(EthLink, DeepBacklogKeepsPendingEventsConstant)
 {
     // A sender that queues 1,000 frames at once (a NIC's deep transmit

@@ -4,11 +4,15 @@
 The manifest (tests/golden/outputs.sha256) holds one line per run:
 
   * every run (cell, seed) of every `cdna_sweep` preset, hashed from the
-    run's entry in the sweep JSON document;
+    run's entry in the sweep JSON document, as printed;
   * the `cdna_sim` fault matrix: 2-guest tx and rx cells of five I/O
     architectures under wire, firmware, guest and driver-domain faults,
     one line for the `--json` report and one for the `--stats-json` dump
-    (less the kernel's own `sim.pending_events` gauge).
+    (less the line of the kernel's own `sim.pending_events` gauge).
+
+Hashes cover the raw text, so reordered or duplicated keys move them;
+documents are parsed only for run ids and key numbers, and a duplicate
+key in any object is an error.
 
 Each line reads `<sha256>  <run id>  <key numbers>`; the key numbers make
 a mismatch readable without rerunning anything.
@@ -48,14 +52,27 @@ ARCHS = {
     "swpt": ["--mode", "swpt", "--kill-guest", "1@150"],
 }
 
+# Concurrent runs: each is one single-threaded simulator process.
+JOBS = min(4, os.cpu_count() or 1)
+
 # The longest presets start first so the worker pool's tail stays short.
 SLOW_FIRST = ("tcp-loss", "availability", "fig3", "swpt", "fig4",
               "protection")
 
 
-def digest(obj):
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def unique_keys(pairs):
+    keys = [k for k, _ in pairs]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"duplicate JSON keys in {keys}")
+    return dict(pairs)
+
+
+def parse(text):
+    return json.loads(text, object_pairs_hook=unique_keys)
 
 
 def key_numbers(report):
@@ -75,31 +92,42 @@ def preset_lines(sweep, preset, tmp):
     out = os.path.join(tmp, preset + ".json")
     run([sweep, "--preset", preset, "-j", "1", "--quiet", "--out", out])
     with open(out) as f:
-        doc = json.load(f)
-    return [(f"{preset}|{r['cell']}|{r['seed']}", digest(r),
-             key_numbers(r["report"])) for r in doc["runs"]]
+        text = f.read()
+    doc = parse(text)
+    # sim/sweep.cc prints each run as "    {" ... "    }," at indent 4.
+    body = text.partition('  "runs": [\n')[2].partition("\n  ],\n")[0]
+    blocks = body.removesuffix("\n    }").split("\n    },\n")
+    if len(blocks) != len(doc["runs"]):
+        raise RuntimeError(f"{preset}: {len(doc['runs'])} runs, "
+                           f"{len(blocks)} printed run blocks")
+    return [(f"{preset}|{r['cell']}|{r['seed']}", digest(block),
+             key_numbers(r["report"]))
+            for r, block in zip(doc["runs"], blocks)]
 
 
 def sim_lines(sim, arch, direction, tmp):
     cell = f"{arch}/{direction}"
     stats = os.path.join(tmp, f"{arch}-{direction}.stats.json")
-    report = json.loads(run([sim, *ARCHS[arch], *FAULTS, "--direction",
-                             direction, "--json", "--stats-json", stats]))
+    out = run([sim, *ARCHS[arch], *FAULTS, "--direction", direction,
+               "--json", "--stats-json", stats])
+    report = parse(out)
     with open(stats) as f:
-        dump = json.load(f)
+        text = f.read()
+    dump = parse(text)
     # The event queue's own depth gauge measures the simulation kernel,
     # not the simulated system; kernel optimisations move it by design.
-    dump.get("timeseries", {}).pop("sim.pending_events", None)
-    return [(f"cdna_sim|{cell}|report", digest(report), key_numbers(report)),
-            (f"cdna_sim|{cell}|stats", digest(dump),
+    text = "".join(line for line in text.splitlines(keepends=True)
+                   if not line.lstrip().startswith('"sim.pending_events":'))
+    return [(f"cdna_sim|{cell}|report", digest(out), key_numbers(report)),
+            (f"cdna_sim|{cell}|stats", digest(text),
              f"components={len(dump['components'])} time_ps={dump['time_ps']}")]
 
 
-def generate(sweep, sim, jobs):
+def generate(sweep, sim):
     presets = [line.split()[0]
                for line in run([sweep, "--list"]).splitlines() if line.strip()]
     with tempfile.TemporaryDirectory() as tmp, \
-            concurrent.futures.ThreadPoolExecutor(jobs) as pool:
+            concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
         sweeps = {p: pool.submit(preset_lines, sweep, p, tmp)
                   for p in sorted(presets, key=lambda p: p not in SLOW_FIRST)}
         sims = [pool.submit(sim_lines, sim, a, d, tmp)
@@ -124,10 +152,9 @@ def main():
     ap.add_argument("mode", choices=("check", "bless"))
     ap.add_argument("--sweep", required=True, help="cdna_sweep binary")
     ap.add_argument("--sim", required=True, help="cdna_sim binary")
-    ap.add_argument("-j", "--jobs", type=int, default=4)
     args = ap.parse_args()
 
-    lines = generate(args.sweep, args.sim, args.jobs)
+    lines = generate(args.sweep, args.sim)
     if args.mode == "bless":
         with open(MANIFEST, "w") as f:
             f.write("# sha256  preset|cell|seed or cdna_sim|cell|output"

@@ -77,7 +77,6 @@ class ContextPager : public sim::SimObject
     std::optional<CdnaNic::ContextId> pickVictim() const;
 
     EvictPolicy policy() const { return policy_; }
-    std::uint64_t switchesQueuedPeak() const { return queuePeak_; }
 
   private:
     void pump();
@@ -92,7 +91,6 @@ class ContextPager : public sim::SimObject
 
     std::deque<CdnaNic::ContextId> pending_;
     std::optional<CdnaNic::ContextId> current_;
-    std::uint64_t queuePeak_ = 0;
 };
 
 } // namespace cdna::core

@@ -62,10 +62,6 @@ class TrafficPeer : public sim::SimObject, public LinkEndpoint
 
     /** The fabric port this peer is bound to. */
     Port &port() { return *port_; }
-    const Port &port() const { return *port_; }
-
-    /** Frames discarded by the MAC filter. */
-    std::uint64_t rxFiltered() const { return nRxFiltered_.value(); }
 
     /** Stop sourcing (pending frame still completes). */
     void stopSource();
@@ -102,9 +98,6 @@ class TrafficPeer : public sim::SimObject, public LinkEndpoint
     {
         return rxBySrc_;
     }
-
-    /** Frames sourced onto the wire. */
-    std::uint64_t framesSent() const { return nTxFrames_.value(); }
 
     void receiveFrame(Packet pkt) override;
 

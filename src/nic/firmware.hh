@@ -54,7 +54,6 @@ class FirmwareProc : public sim::SimObject
     /** Firmware image generation; bumped by reboot(). */
     std::uint64_t epoch() const { return epoch_; }
 
-    std::uint64_t stallCount() const { return nStalls_.value(); }
     std::uint64_t rebootCount() const { return nReboots_.value(); }
 
     /** Fraction of elapsed time the processor has been busy. */

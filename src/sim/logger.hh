@@ -39,7 +39,6 @@ class Logger
 
     /** Set the process-wide default threshold. */
     static void setGlobalLevel(LogLevel lvl);
-    static LogLevel globalLevel();
 
     /** Override the threshold for this channel only. */
     void setLevel(LogLevel lvl);
@@ -49,7 +48,6 @@ class Logger
     void error(const char *fmt, ...) const;
     void warn(const char *fmt, ...) const;
     void info(const char *fmt, ...) const;
-    void debug(const char *fmt, ...) const;
     void trace(const char *fmt, ...) const;
 
     const std::string &name() const { return name_; }

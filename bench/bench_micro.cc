@@ -71,7 +71,7 @@ static void
 BM_MailboxHierPostPop(benchmark::State &state)
 {
     nic::MailboxEventHier hier;
-    std::uint32_t c, m;
+    std::uint32_t c = 0, m = 0;
     std::uint32_t i = 0;
     for (auto _ : state) {
         hier.post(i % 32, i % 24);

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "sim/assert.hh"
 #include "sim/stats.hh"
 
 namespace cdna::core {
@@ -97,114 +98,29 @@ Report::fairness() const
     return hi > 0 ? lo / hi : 1.0;
 }
 
-// Table-row shorthands: a double metric, an integer counter windowed
-// over the measurement (exact in a double far past any window's count)
-// with the stats it sums, an integer level or peak, and a per-guest
-// array.
-#define CDNA_REAL(key, expr)                                              \
-    {key, "%.4f", [](const Report &r) { return r.expr; }}
-#define CDNA_LEVEL(key, field)                                            \
-    {key, "%.0f",                                                         \
-     [](const Report &r) { return static_cast<double>(r.field); }}
-#define CDNA_COUNT(key, field, source)                                    \
-    {key, "%.0f",                                                         \
-     [](const Report &r) { return static_cast<double>(r.field); },        \
-     nullptr, &Report::field, source}
-#define CDNA_LIST(key, field, fmt)                                        \
-    {key, fmt, nullptr,                                                   \
-     [](const Report &r) -> const std::vector<double> & {                 \
-         return r.field;                                                  \
-     }}
-
 const std::vector<ReportColumn> &
 reportColumns()
 {
+#define CDNA_COLUMN(kind, field, k, fmt, src)                             \
+    {.key = k, .format = fmt, .source = src, CDNA_ROW_##kind(field)},
+#define CDNA_ROW_Real(f) .get = [](const Report &r) -> double { return r.f; }
+#define CDNA_ROW_Level CDNA_ROW_Real
+#define CDNA_ROW_Computed(f) .get = [](const Report &r) { return r.f(); }
+#define CDNA_ROW_Rate(f) CDNA_ROW_Real(f), .rate = &Report::f
+#define CDNA_ROW_Count(f) CDNA_ROW_Real(f), .count = &Report::f
+#define CDNA_ROW_List(f)                                                  \
+    .list = [](const Report &r) -> const std::vector<double> & { return r.f; }
     static const std::vector<ReportColumn> columns = {
-        CDNA_REAL("mbps", mbps),
-        CDNA_REAL("hyp_pct", hypPct),
-        CDNA_REAL("drv_os_pct", drvOsPct),
-        CDNA_REAL("drv_user_pct", drvUserPct),
-        CDNA_REAL("guest_os_pct", guestOsPct),
-        CDNA_REAL("guest_user_pct", guestUserPct),
-        CDNA_REAL("idle_pct", idlePct),
-        CDNA_REAL("drv_intr_per_sec", drvIntrPerSec),
-        CDNA_REAL("guest_intr_per_sec", guestIntrPerSec),
-        CDNA_REAL("phys_irq_per_sec", physIrqPerSec),
-        CDNA_REAL("hypercall_per_sec", hypercallPerSec),
-        CDNA_REAL("domain_switch_per_sec", domainSwitchPerSec),
-        CDNA_REAL("latency_mean_us", latencyMeanUs),
-        CDNA_REAL("latency_p50_us", latencyP50Us),
-        CDNA_REAL("latency_p99_us", latencyP99Us),
-        CDNA_REAL("fairness", fairness()),
-        CDNA_REAL("wire_mbps", wireMbps),
-        CDNA_REAL("rpc_lat_mean_us", rpcLatMeanUs),
-        CDNA_REAL("rpc_lat_p50_us", rpcLatP50Us),
-        CDNA_REAL("rpc_lat_p99_us", rpcLatP99Us),
-        CDNA_REAL("rpc_lat_p999_us", rpcLatP999Us),
-        CDNA_REAL("rpc_offered_rps", rpcOfferedRps),
-        CDNA_REAL("rpc_achieved_rps", rpcAchievedRps),
-        CDNA_REAL("swpt_validation_us", swptValidationUs),
-        CDNA_COUNT("protection_faults", protectionFaults, "faults"),
-        CDNA_COUNT("dma_violations", dmaViolations, "dma_violations"),
-        CDNA_COUNT("rx_drops_no_desc", rxDropsNoDesc, "rx_drop_no_desc"),
-        CDNA_COUNT("rx_drops_no_buf", rxDropsNoBuf, "rx_drop_no_buf"),
-        CDNA_COUNT("rx_drops_filter", rxDropsFilter, "rx_drop_filter"),
-        CDNA_COUNT("frames_dropped", faultFramesDropped, "frames_dropped"),
-        CDNA_COUNT("frames_corrupted", faultFramesCorrupted,
-                   "frames_corrupted"),
-        CDNA_COUNT("frames_duplicated", faultFramesDuplicated,
-                   "frames_duplicated"),
-        CDNA_COUNT("dma_delays", faultDmaDelays, "dma_delays"),
-        CDNA_COUNT("firmware_stalls", firmwareStalls, "firmware_stalls"),
-        CDNA_COUNT("guest_kills", guestKills, "guest_kills"),
-        CDNA_COUNT("mailbox_timeouts", mailboxTimeouts,
-                   "faults.mailbox_timeouts"),
-        CDNA_COUNT("ring_resyncs", ringResyncs, "faults.ring_resyncs"),
-        CDNA_COUNT("rx_drops_bad_csum", rxDropsBadCsum, "rx_drops_bad_csum"),
-        CDNA_LEVEL("tx_backlog_peak", txBacklogPeak),
-        CDNA_LEVEL("tx_backlog_now", txBacklogNow),
-        CDNA_COUNT("tcp_retrans_segs", tcpRetransSegs, "segs_retransmitted"),
-        CDNA_COUNT("tcp_fast_retransmits", tcpFastRetransmits,
-                   "fast_retransmits"),
-        CDNA_COUNT("tcp_rto_events", tcpRtoEvents, "rto_events"),
-        CDNA_COUNT("tcp_dup_acks", tcpDupAcks, "dup_acks_received"),
-        CDNA_COUNT("driver_domain_kills", driverDomainKills,
-                   "driver_domain_kills"),
-        CDNA_COUNT("firmware_reboots", firmwareReboots, "firmware_reboots"),
-        CDNA_COUNT("fe_reconnects", feReconnects, "frontend_reconnects"),
-        CDNA_COUNT("grants_revoked", grantsRevoked, "revoked"),
-        CDNA_COUNT("pages_quarantined", pagesQuarantined, "quarantined"),
-        CDNA_COUNT("quarantine_released", quarantineReleased,
-                   "quarantine_released"),
-        CDNA_COUNT("mailbox_throttled", mailboxThrottled, "mailbox_throttled"),
-        CDNA_COUNT("outage_packets_lost", outagePacketsLost,
-                   "outage_rx_drops+tx_lost_crash"),
-        CDNA_COUNT("cxt_page_traps", cxtPageTraps, "cxt_page_traps"),
-        CDNA_COUNT("cxt_evictions", cxtEvictions, "cxt_evictions"),
-        CDNA_COUNT("cxt_page_ins", cxtPageIns, "cxt_page_ins"),
-        CDNA_LEVEL("cxt_resident_peak", cxtResidentPeak),
-        CDNA_COUNT("switch_drops", switchDrops, nullptr),
-        CDNA_COUNT("switch_drop_bytes", switchDropBytes, nullptr),
-        CDNA_LEVEL("switch_queue_peak_bytes", switchQueuePeakBytes),
-        CDNA_COUNT("rpc_requests", rpcRequests, "rpc_requests"),
-        CDNA_COUNT("rpc_responses", rpcResponses, "rpc_responses"),
-        CDNA_COUNT("rpc_timeouts", rpcTimeouts, "rpc_timeouts"),
-        CDNA_COUNT("flows_started", flowsStarted, "flows_started"),
-        CDNA_COUNT("flows_completed", flowsCompleted, "flows_completed"),
-        CDNA_COUNT("swpt_doorbell_traps", swptDoorbellTraps, "doorbell_traps"),
-        CDNA_COUNT("swpt_desc_validated", swptDescValidated, "desc_validated"),
-        CDNA_COUNT("swpt_desc_rejected", swptDescRejected, "desc_rejected"),
-        CDNA_LIST("per_guest_mbps", perGuestMbps, "%.2f"),
-        CDNA_LIST("per_guest_downtime_us", perGuestDowntimeUs, "%.1f"),
-        CDNA_LIST("per_guest_ttfp_us", perGuestTtfpUs, "%.1f"),
+#include "core/report_columns.def"
     };
+#undef CDNA_ROW_Real
+#undef CDNA_ROW_Level
+#undef CDNA_ROW_Computed
+#undef CDNA_ROW_Rate
+#undef CDNA_ROW_Count
+#undef CDNA_ROW_List
     return columns;
 }
-
-#undef CDNA_REAL
-#undef CDNA_LEVEL
-#undef CDNA_COUNT
-#undef CDNA_LIST
 
 const ReportColumn *
 findReportColumn(const std::string &key)
@@ -239,23 +155,31 @@ void
 addSourcedCounters(Report &totals, std::string_view component,
                    const sim::StatGroup &stats)
 {
-    // Stat name -> (source, field) for every sourced column.
-    using Feed = std::pair<CounterSource, std::uint64_t Report::*>;
+    // Stat name -> (source, column) for every sourced column.
+    using Feed = std::pair<CounterSource, const ReportColumn *>;
     static const std::unordered_map<std::string, std::vector<Feed>> feeds =
         [] {
             std::unordered_map<std::string, std::vector<Feed>> m;
             for (const ReportColumn &c : reportColumns())
-                for (CounterSource &src : counterSources(c))
-                    m[src.stat].push_back({std::move(src), c.windowed});
+                for (CounterSource &src : counterSources(c)) {
+                    SIM_ASSERT(c.count || c.rate,
+                               "only rate and counter columns sum stats");
+                    m[src.stat].push_back({std::move(src), &c});
+                }
             return m;
         }();
     for (const auto &[name, counter] : stats.counters()) {
         auto it = feeds.find(name);
         if (it == feeds.end())
             continue;
-        for (const auto &[src, field] : it->second)
-            if (src.matches(component, name))
-                totals.*field += counter->value();
+        for (const auto &[src, c] : it->second) {
+            if (!src.matches(component, name))
+                continue;
+            if (c->count)
+                totals.*c->count += counter->value();
+            else
+                totals.*c->rate += static_cast<double>(counter->value());
+        }
     }
 }
 

@@ -76,137 +76,21 @@ struct Report
 {
     std::string label;
 
-    /** Aggregate goodput in Mb/s over the measurement window. */
-    double mbps = 0.0;
-
-    /**
-     * Raw wire payload throughput in Mb/s (includes retransmissions and
-     * frames later discarded by the checksum check).  Equals goodput in
-     * open-loop runs; under TCP, goodput <= wire throughput, with the
-     * gap being retransmitted or corrupted bytes.
-     */
-    double wireMbps = 0.0;
-
-    // Execution profile (percent of elapsed time).
-    double hypPct = 0.0;
-    double drvOsPct = 0.0;
-    double drvUserPct = 0.0;
-    double guestOsPct = 0.0;
-    double guestUserPct = 0.0;
-    double idlePct = 0.0;
-
-    // Interrupt rates (per second of simulated time).
-    double drvIntrPerSec = 0.0;   //!< virtual interrupts to the driver dom
-    double guestIntrPerSec = 0.0; //!< virtual interrupts to all guests
-    double physIrqPerSec = 0.0;
-    double hypercallPerSec = 0.0;
-    double domainSwitchPerSec = 0.0;
-
-    // Protection / integrity counters (totals over the window).
-    std::uint64_t protectionFaults = 0;
-    std::uint64_t dmaViolations = 0;
-    std::uint64_t rxDropsNoDesc = 0;
-    std::uint64_t rxDropsNoBuf = 0;  //!< NIC packet buffer exhausted
-    std::uint64_t rxDropsFilter = 0; //!< frame matched no context MAC
-
-    // Fault injection & recovery (totals over the window; all zero
-    // unless the run carries a fault plan).
-    std::uint64_t faultFramesDropped = 0;
-    std::uint64_t faultFramesCorrupted = 0;
-    std::uint64_t faultFramesDuplicated = 0;
-    std::uint64_t faultDmaDelays = 0;
-    std::uint64_t firmwareStalls = 0;
-    std::uint64_t guestKills = 0;
-    std::uint64_t mailboxTimeouts = 0; //!< driver watchdog expiries
-    std::uint64_t ringResyncs = 0;     //!< producer mailboxes re-rung
-
-    /** Frames discarded by receivers' checksum check (both transports). */
-    std::uint64_t rxDropsBadCsum = 0;
-
-    // Guest-stack TX backlog (packets queued behind a full device).
-    std::uint64_t txBacklogPeak = 0; //!< high-watermark across stacks
-    std::uint64_t txBacklogNow = 0;  //!< depth at the end of the window
-
-    // TCP transport recovery activity (zero in open-loop runs).
-    std::uint64_t tcpRetransSegs = 0;
-    std::uint64_t tcpFastRetransmits = 0;
-    std::uint64_t tcpRtoEvents = 0;
-    std::uint64_t tcpDupAcks = 0;
-
-    // Failure-domain recovery (schema 3; all zero without an
-    // outage-class fault plan).
-    std::uint64_t driverDomainKills = 0;
-    std::uint64_t firmwareReboots = 0;
-    std::uint64_t feReconnects = 0;     //!< Xen frontend reconnections
-    std::uint64_t grantsRevoked = 0;    //!< mappings revoked at crash
-    std::uint64_t pagesQuarantined = 0; //!< in-flight-DMA pages held
-    std::uint64_t quarantineReleased = 0;
-    std::uint64_t mailboxThrottled = 0; //!< doorbells rate-limited
-    std::uint64_t outagePacketsLost = 0;
-
-    // Virtual-context oversubscription (schema 4).
-    std::uint64_t cxtPageTraps = 0;    //!< doorbells to paged-out contexts
-    std::uint64_t cxtEvictions = 0;    //!< contexts evicted from a slot
-    std::uint64_t cxtPageIns = 0;      //!< contexts restored into a slot
-    std::uint64_t cxtResidentPeak = 0; //!< max simultaneously resident
-
-    // Network fabric (schema 5; all zero on point-to-point links).
-    std::uint64_t switchDrops = 0;     //!< frames tail-dropped toward us
-    std::uint64_t switchDropBytes = 0; //!< wire bytes of those frames
-    std::uint64_t switchQueuePeakBytes = 0; //!< egress-queue high water
-
-    /** Per-guest goodput (fairness analysis), Mb/s. */
-    std::vector<double> perGuestMbps;
-
-    // Per-guest availability (schema 3): accumulated downtime, and the
-    // recovery-to-first-packet lag, both in microseconds.
-    std::vector<double> perGuestDowntimeUs;
-    std::vector<double> perGuestTtfpUs;
-
-    /**
-     * End-to-end data-frame latency in microseconds (stack entry to
-     * peer on transmit tests; wire to user space on receive tests).
-     * Accumulated from simulation start (includes warmup).  P50/p99 are
-     * power-of-two bucket upper bounds.
-     */
-    double latencyMeanUs = 0.0;
-    double latencyP50Us = 0.0;
-    double latencyP99Us = 0.0;
-
-    /**
-     * RPC request/response tail latency in microseconds (schema 6; all
-     * zero without an RPC workload class).  Request enqueue at the
-     * client engine to last response byte back at the client.
-     * Quantiles come from the fine-grained sub-bucketed histogram, so
-     * p999 is meaningful at microsecond scales.
-     */
-    double rpcLatMeanUs = 0.0;
-    double rpcLatP50Us = 0.0;
-    double rpcLatP99Us = 0.0;
-    double rpcLatP999Us = 0.0;
-
-    // Offered vs. achieved RPC load over the measurement window,
-    // requests per second (schema 6).
-    double rpcOfferedRps = 0.0;
-    double rpcAchievedRps = 0.0;
-
-    // Workload-engine activity (schema 6; totals over the window).
-    std::uint64_t rpcRequests = 0;
-    std::uint64_t rpcResponses = 0;
-    std::uint64_t rpcTimeouts = 0;
-    std::uint64_t flowsStarted = 0;
-    std::uint64_t flowsCompleted = 0;
-
-    /**
-     * Software-only passthrough activity (schema 7; all zero outside
-     * swPassthrough mode).  Validation time is the hypervisor time
-     * spent on the doorbell path -- trap plus per-descriptor audit and
-     * shadow copy -- in microseconds over the window.
-     */
-    double swptValidationUs = 0.0;
-    std::uint64_t swptDoorbellTraps = 0;
-    std::uint64_t swptDescValidated = 0;
-    std::uint64_t swptDescRejected = 0;
+    // One member per column of report_columns.def, in its order.
+#define CDNA_COLUMN(kind, field, key, format, source) CDNA_FIELD_##kind(field)
+#define CDNA_FIELD_Real(field) double field = 0.0;
+#define CDNA_FIELD_Rate(field) double field = 0.0;
+#define CDNA_FIELD_Count(field) std::uint64_t field = 0;
+#define CDNA_FIELD_Level(field) std::uint64_t field = 0;
+#define CDNA_FIELD_List(field) std::vector<double> field;
+#define CDNA_FIELD_Computed(field)
+#include "core/report_columns.def"
+#undef CDNA_FIELD_Real
+#undef CDNA_FIELD_Rate
+#undef CDNA_FIELD_Count
+#undef CDNA_FIELD_Level
+#undef CDNA_FIELD_List
+#undef CDNA_FIELD_Computed
 
     sim::Time window = 0;
 
@@ -232,33 +116,39 @@ struct Report
 /**
  * One report key: its JSON name, how one value is printed, and how to
  * read it.  A column is either a scalar (get) or an array (list).
+ * reportColumns() builds one per entry of report_columns.def.
  *
- * A counter column names the stat it sums in source.  A source is a
- * stat name, or "component.stat" when more than one kind of component
- * registers that name ("faults.mailbox_timeouts"); the component is
- * written without the host's name prefix.  Several sources are joined
- * by '+' ("outage_rx_drops+tx_lost_crash").  System::snapshot() sums
- * each source over every counter its host's own components register,
- * so adding a report counter takes three edits: register the stat, add
- * a Report field, and add one CDNA_COUNT row naming the stat in
- * reportColumns().
+ * A rate or counter column names the stats it sums in source.  A
+ * source is a stat name, or "component.stat" to read only one
+ * component's stat ("faults.mailbox_timeouts", "dom0.virt_irqs"); the
+ * component is written without the host's name prefix.  Several
+ * sources are joined by '+' ("outage_rx_drops+tx_lost_crash").
+ * System::snapshot() sums each source over every counter its host's
+ * own components register, so adding a report counter takes two edits:
+ * register the stat, and add one entry naming it to report_columns.def,
+ * e.g.
+ *
+ *   CDNA_COLUMN(Count, tcpRtoEvents, "tcp_rto_events", "%.0f",
+ *               "rto_events")
  */
 struct ReportColumn
 {
     const char *key;
-    /** printf conversion of one value; counters use "%.0f". */
+    /** printf conversion of one value; integers use "%.0f". */
     const char *format;
+    /** The stats a rate or counter sums (null when System fills the
+     *  column itself). */
+    const char *source = nullptr;
     double (*get)(const Report &) = nullptr;
     const std::vector<double> &(*list)(const Report &) = nullptr;
-    /** A counter reported as its change over the measurement window
-     *  (null for rates, levels, peaks and arrays). */
-    std::uint64_t Report::*windowed = nullptr;
-    /** The stats a windowed counter sums (null when System fills it
-     *  explicitly, as it does the switch port's drop counts). */
-    const char *source = nullptr;
+    /** A rate: in a Snapshot the field holds a running count, and the
+     *  report divides its change over the window by the seconds. */
+    double Report::*rate = nullptr;
+    /** A counter reported as its change over the measurement window. */
+    std::uint64_t Report::*count = nullptr;
 };
 
-/** One stat a counter column sums (see ReportColumn::source). */
+/** One stat a rate or counter column sums (see ReportColumn::source). */
 struct CounterSource
 {
     std::string component; //!< empty: any component of the host
@@ -277,28 +167,15 @@ std::vector<CounterSource> counterSources(const ReportColumn &c);
 
 /**
  * Add every counter in @p stats, registered by component @p component
- * (its name without the host prefix), to the windowed fields of
- * @p totals whose columns name it as a source.
+ * (its name without the host prefix), to the rate and counter fields
+ * of @p totals whose columns name it as a source.
  */
 void addSourcedCounters(Report &totals, std::string_view component,
                         const sim::StatGroup &stats);
 
 /**
- * Every report key after schema_version and label, in JSON order:
- *
- *   the double-valued metrics (mbps, the six profile percentages, the
- *   five rate counters, the three latency quantiles, fairness,
- *   wire_mbps, then the schema-6 RPC latency quantiles and
- *   offered/achieved rates, then schema 7's swpt_validation_us), then
- *   the integer counters (protection/drop counters, the
- *   fault/recovery counters, then the checksum/backlog/TCP counters
- *   added in schema 2, the outage counters added in schema 3, the
- *   context-paging counters added in schema 4, the switch counters
- *   added in schema 5, the RPC/flow counters added in schema 6, and
- *   the swpt counters added in schema 7), then per_guest_mbps followed
- *   by the schema-3 per_guest_downtime_us and per_guest_ttfp_us
- *   arrays.  New keys are only ever appended at the end of their block
- *   so older goldens remain a line-subset of newer reports.
+ * Every report key after schema_version and label, in JSON order: one
+ * column per entry of report_columns.def.
  */
 const std::vector<ReportColumn> &reportColumns();
 

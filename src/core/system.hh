@@ -288,9 +288,10 @@ struct SystemConfig
 
 /**
  * What a Report needs at one instant (System::snapshot()); a window's
- * Report is the difference of two.  The Report's counters hold running
- * totals and its levels and peaks their current value; the other fields
- * are the raw inputs to its rates.
+ * Report is the difference of two.  The Report's counters and rates
+ * hold running totals and its levels and peaks their current value;
+ * the other fields are the raw inputs to the rates System computes
+ * itself.
  */
 struct Snapshot
 {
@@ -299,11 +300,6 @@ struct Snapshot
     std::uint64_t stackRxBytes = 0;
     std::uint64_t wirePayload = 0; //!< raw link payload, goodput dir
     std::vector<std::uint64_t> perGuestBytes;
-    std::uint64_t drvVirtIrqs = 0;
-    std::uint64_t guestVirtIrqs = 0;
-    std::uint64_t physIrqs = 0;
-    std::uint64_t hypercalls = 0;
-    std::uint64_t switches = 0;
     sim::Time swptValidation = 0;
 };
 

@@ -73,15 +73,10 @@ System::snapshot() const
         }
     }
 
-    if (driverDom_)
-        s.drvVirtIrqs = driverDom_->virtIrqCount();
     for (const auto *g : guests_)
-        s.guestVirtIrqs += g->virtIrqCount();
-    s.hypercalls = hv_->hypercallCount();
-    s.switches = cpu_->domainSwitches();
+        t.guestIntrPerSec += static_cast<double>(g->virtIrqCount());
     for (std::uint32_t i = 0; i < nics_.size(); ++i) {
         const nic::NicBase &n = *nics_[i];
-        s.physIrqs += n.irqCount();
         // The switch port toward this NIC counts its drops; a
         // point-to-point link never drops.
         const net::Port &port = n.port();
@@ -125,15 +120,19 @@ System::endMeasurement(sim::Time window)
 Report
 System::buildReport(const Snapshot &a, const Snapshot &b, sim::Time window)
 {
-    // Windowed counters are the change between the two snapshots'
-    // totals; levels and peaks keep their end-of-window value.
+    // Counters are the change between the two snapshots' totals, and
+    // rates that change per second; levels and peaks keep their
+    // end-of-window value.
+    double secs = sim::toSeconds(window);
     Report r = b.totals;
-    for (const ReportColumn &c : reportColumns())
-        if (c.windowed)
-            r.*c.windowed -= a.totals.*c.windowed;
+    for (const ReportColumn &c : reportColumns()) {
+        if (c.count)
+            r.*c.count -= a.totals.*c.count;
+        if (c.rate)
+            r.*c.rate = (r.*c.rate - a.totals.*c.rate) / secs;
+    }
     r.label = cfg_.effectiveLabel();
     r.window = window;
-    double secs = sim::toSeconds(window);
 
     std::uint64_t goodput_bytes = cfg_.transmitDir
         ? b.peerRxPayload - a.peerRxPayload
@@ -161,15 +160,6 @@ System::buildReport(const Snapshot &a, const Snapshot &b, sim::Time window)
                                               cpu::Bucket::kUser));
     }
 
-    r.drvIntrPerSec =
-        static_cast<double>(b.drvVirtIrqs - a.drvVirtIrqs) / secs;
-    r.guestIntrPerSec =
-        static_cast<double>(b.guestVirtIrqs - a.guestVirtIrqs) / secs;
-    r.physIrqPerSec = static_cast<double>(b.physIrqs - a.physIrqs) / secs;
-    r.hypercallPerSec =
-        static_cast<double>(b.hypercalls - a.hypercalls) / secs;
-    r.domainSwitchPerSec =
-        static_cast<double>(b.switches - a.switches) / secs;
     r.swptValidationUs =
         static_cast<double>(b.swptValidation - a.swptValidation) / 1.0e6;
 
@@ -217,11 +207,9 @@ System::buildReport(const Snapshot &a, const Snapshot &b, sim::Time window)
         r.latencyP99Us = static_cast<double>(merged.quantile(0.99));
     }
 
-    // RPC activity: rates are windowed deltas; tail quantiles come
-    // from the engines' fine-grained cumulative histograms (like the
-    // data-frame latency above, they include warmup).
-    r.rpcOfferedRps = static_cast<double>(r.rpcRequests) / secs;
-    r.rpcAchievedRps = static_cast<double>(r.rpcResponses) / secs;
+    // RPC tail quantiles come from the engines' fine-grained cumulative
+    // histograms (like the data-frame latency above, they include
+    // warmup).
     sim::Histogram rpc_hist(net::workload::kRpcHistBuckets,
                             net::workload::kRpcHistSubBits);
     double rpc_sum = 0.0;

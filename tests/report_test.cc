@@ -1,8 +1,8 @@
 /**
  * @file
- * Report-column tests: every stat a counter column names is one that
- * some component registers, so a misspelled source cannot read as a
- * silent zero.
+ * Report-column tests: every stat a rate or counter column names is one
+ * that some component registers, so a misspelled source cannot read as
+ * a silent zero; and each column kind reads its measurement window.
  */
 
 #include <gtest/gtest.h>
@@ -63,7 +63,7 @@ TEST(ReportColumns, CounterSourcesResolve)
     std::size_t sourced = 0;
     for (const ReportColumn &c : reportColumns()) {
         std::vector<CounterSource> sources = counterSources(c);
-        if (!c.windowed) {
+        if (!c.count && !c.rate) {
             EXPECT_TRUE(sources.empty()) << c.key;
             continue;
         }
@@ -76,8 +76,9 @@ TEST(ReportColumns, CounterSourcesResolve)
                                << src.stat;
         }
     }
-    // Every windowed counter but the switch port's two.
-    EXPECT_EQ(sourced, 37u);
+    // Every counter but the switch port's two, and every rate but
+    // guest_intr_per_sec.
+    EXPECT_EQ(sourced, 43u);
 }
 
 TEST(ReportColumns, SourcesParseQualifiedAndSummed)
@@ -95,4 +96,48 @@ TEST(ReportColumns, SourcesParseQualifiedAndSummed)
     ASSERT_EQ(two.size(), 2u);
     EXPECT_TRUE(two[0].matches("ddn0", "outage_rx_drops"));
     EXPECT_TRUE(two[1].matches("ddn0.vif-guest1", "tx_lost_crash"));
+}
+
+TEST(ReportColumns, KindsReadTheirWindow)
+{
+    // After a nonzero warmup each column below already reads nonzero at
+    // the window's start, so a column tagged with the wrong kind in
+    // report_columns.def reports a different number.
+    FaultPlan plan;
+    plan.dropping(0.01);
+    System sys(SystemConfig::cdna(2).withFaults(std::move(plan)));
+    auto dropped = [&] {
+        return sys.faultInjector()->stats().findCounter("frames_dropped")
+            ->value();
+    };
+    auto resident = [&] {
+        std::uint64_t n = 0;
+        for (std::uint32_t i = 0; i < sys.nicCount(); ++i)
+            n += sys.cdnaNic(i)->residentPeak();
+        return n;
+    };
+    const sim::Time window = sim::milliseconds(4);
+    auto &eq = sys.ctx().events();
+    sys.start();
+    eq.runUntil(eq.now() + sim::milliseconds(4));
+    sys.beginMeasurement();
+    std::uint64_t drops0 = dropped();
+    std::uint64_t calls0 = sys.hv().hypercallCount();
+    eq.runUntil(eq.now() + window);
+    std::uint64_t drops1 = dropped();
+    std::uint64_t calls1 = sys.hv().hypercallCount();
+    Report r = sys.endMeasurement(window);
+
+    ASSERT_GT(drops0, 0u);
+    ASSERT_GT(drops1, drops0);
+    ASSERT_GT(calls0, 0u);
+    ASSERT_GT(calls1, calls0);
+    ASSERT_GT(resident(), 0u);
+    // Count: the stat's end-minus-begin delta.
+    EXPECT_EQ(r.faultFramesDropped, drops1 - drops0);
+    // Rate: that delta over the window's seconds.
+    EXPECT_DOUBLE_EQ(r.hypercallPerSec, static_cast<double>(calls1 - calls0) /
+                                            sim::toSeconds(window));
+    // Level: its end-of-window value.
+    EXPECT_EQ(r.cxtResidentPeak, resident());
 }

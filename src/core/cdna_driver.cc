@@ -225,17 +225,16 @@ CdnaGuestDriver::handleIrq()
     // Claim the completions now so an overlapping IRQ cannot
     // double-count them; the task below surfaces them in order.
     txDrained_ += completed;
-    auto deliveries = nic_.drainRx(cxt_);
-    if (completed == 0 && deliveries.empty())
+    auto received =
+        static_cast<std::uint32_t>(nic_.drainRx(cxt_, rxBatches_.tail()));
+    if (completed == 0 && received == 0)
         return;
 
     sim::Time cost = costs_.drvIrqHandler +
         completed * costs_.cdnaDrvCompletion +
-        static_cast<sim::Time>(deliveries.size()) * costs_.cdnaDrvRxPerPacket;
+        static_cast<sim::Time>(received) * costs_.cdnaDrvRxPerPacket;
 
-    dom_.vcpu().post(cpu::Bucket::kOs, cost,
-                     [this, completed,
-                      deliveries = std::move(deliveries)]() mutable {
+    dom_.vcpu().post(cpu::Bucket::kOs, cost, [this, completed, received] {
         for (std::uint32_t i = 0; i < completed; ++i) {
             SIM_ASSERT(!txInflightBytes_.empty(), "completion underflow");
             std::uint64_t bytes = txInflightBytes_.front();
@@ -246,10 +245,11 @@ CdnaGuestDriver::handleIrq()
         // Backend mode: delivered pages are about to be page-flipped to
         // guests, which requires their DMA pins dropped now rather than
         // at the next enqueue.
-        if (!autoRefill_ && prot_.enabled() && !deliveries.empty())
+        if (!autoRefill_ && prot_.enabled() && received > 0)
             prot_.syncUnpin(rxHandle_);
 
-        for (auto &d : deliveries) {
+        for (std::uint32_t i = 0; i < received; ++i) {
+            CdnaNic::RxDelivery &d = rxBatches_.pop();
             nRxPkts_.inc();
             std::uint32_t slot = d.pos % rxSlotPage_.size();
             mem::PageNum page = rxSlotPage_[slot];
@@ -259,6 +259,7 @@ CdnaGuestDriver::handleIrq()
                 rxRefillStage_.push_back(page);
             deliverRx(std::move(d.pkt));
         }
+        rxBatches_.compact();
         flushRxRefills();
 
         if (txWasFull_ && canTransmit()) {

@@ -118,6 +118,7 @@ class CdnaGuestDriver : public sim::SimObject, public os::NetDevice
     // RX
     std::vector<mem::PageNum> rxSlotPage_;
     std::deque<mem::PageNum> rxRefillStage_;
+    nic::RxBatches<CdnaNic::RxDelivery> rxBatches_;
     std::uint32_t rxEnqueued_ = 0;
     bool rxFlushPending_ = false;
     bool autoRefill_ = true;

@@ -783,14 +783,16 @@ CdnaNic::pumpTx()
         nGhostTx_.inc();
     }
 
+    // txDataBusy_ admits one frame between payload fetch and the wire;
+    // it waits in txStaged_ (a reboot clears txDataBusy_, but the old
+    // frame's continuations stop at the epoch check).
+    txStaged_ = std::move(pkt);
     std::uint64_t ep = fw_.epoch();
     dma_.read(desc.sg, c.dom, id,
-              [this, id, bytes, ep,
-               pkt = std::move(pkt)](mem::DmaResult dr) mutable {
+              [this, id, bytes, ep](mem::DmaResult dr) {
         if (ep != fw_.epoch())
             return; // firmware rebooted: the staged frame died with it
-        fw_.exec(params_.fwPerPacket,
-                 [this, id, bytes, ep, dr, pkt = std::move(pkt)]() mutable {
+        fw_.exec(params_.fwPerPacket, [this, id, bytes, ep, dr] {
             if (ep != fw_.epoch())
                 return;
             txDataBusy_ = false;
@@ -813,8 +815,8 @@ CdnaNic::pumpTx()
                 return;
             }
             sim::Time gap = params_.txInterFrameGap *
-                            static_cast<sim::Time>(pkt.wireFrames());
-            port_.send(std::move(pkt), gap, [this, id, bytes, ep] {
+                            static_cast<sim::Time>(txStaged_.wireFrames());
+            port_.send(std::move(txStaged_), gap, [this, id, bytes, ep] {
                 if (ep != fw_.epoch())
                     return; // completion record reconciled at reboot
                 txBuf_.release(bytes);
@@ -875,24 +877,36 @@ CdnaNic::receiveFrame(net::Packet pkt)
     touchActivity(c);
     if (c.rxReady.size() < params_.fetchBatch / 2)
         startRxFetch(id);
-    const nic::DmaDescriptor desc = c.rxRing->at(pos);
+
+    // The frame and the part of its buffer it fills wait in a staging
+    // slot through the firmware job and the DMA write.
+    std::uint32_t slot;
+    if (rxStageFree_.empty()) {
+        slot = static_cast<std::uint32_t>(rxStage_.size());
+        rxStage_.emplace_back();
+    } else {
+        slot = rxStageFree_.back();
+        rxStageFree_.pop_back();
+    }
+    RxStage &st = rxStage_[slot];
+    st.sg = sgPrefix(c.rxRing->at(pos).sg, bytes + net::kTcpIpHeader);
+    st.pkt = std::move(pkt);
 
     std::uint64_t ep = fw_.epoch();
-    fw_.exec(params_.fwPerPacket,
-             [this, id, pos, bytes, desc, ep,
-              pkt = std::move(pkt)]() mutable {
-        if (ep != fw_.epoch())
+    fw_.exec(params_.fwPerPacket, [this, id, pos, bytes, ep, slot] {
+        if (ep != fw_.epoch()) {
+            rxStageFree_.push_back(slot);
             return; // firmware rebooted: frame lost with the old image
-        mem::SgList sg = sgPrefix(desc.sg, bytes + net::kTcpIpHeader);
-        Context &cc = cxt(id);
-        dma_.write(sg, cc.dom, id,
-                   [this, id, pos, bytes, ep,
-                    pkt = std::move(pkt)](mem::DmaResult dr) mutable {
+        }
+        dma_.write(rxStage_[slot].sg, cxt(id).dom, id,
+                   [this, id, pos, bytes, ep, slot](mem::DmaResult dr) {
+            net::Packet pkt = std::move(rxStage_[slot].pkt);
+            rxStageFree_.push_back(slot);
             if (ep != fw_.epoch())
                 return;
             rxBuf_.release(bytes);
-            Context &ccc = cxt(id);
-            if (!ccc.allocated) {
+            Context &cc = cxt(id);
+            if (!cc.allocated) {
                 noteInflightDone(id);
                 return;
             }
@@ -900,17 +914,17 @@ CdnaNic::receiveFrame(net::Packet pkt)
                 // IOMMU refused the buffer write: the frame is lost,
                 // but the descriptor is consumed.
                 nIommuDrops_.inc();
-                ++ccc.rxConsumer;
-                ++ccc.rxDone64;
+                ++cc.rxConsumer;
+                ++cc.rxDone64;
                 scheduleWriteback(id);
                 noteContextUpdate(id);
                 noteInflightDone(id);
                 return;
             }
             nRxPackets_.inc();
-            ccc.rxDeliveries.push_back(RxDelivery{pos, std::move(pkt)});
-            ++ccc.rxConsumer;
-            ++ccc.rxDone64;
+            cc.rxDeliveries.push_back(RxDelivery{pos, std::move(pkt)});
+            ++cc.rxConsumer;
+            ++cc.rxDone64;
             scheduleWriteback(id);
             noteContextUpdate(id);
             noteInflightDone(id);
@@ -930,10 +944,15 @@ CdnaNic::rxConsumer(ContextId id) const
     return cxt(id).rxConsumerHost;
 }
 
-std::vector<CdnaNic::RxDelivery>
-CdnaNic::drainRx(ContextId id)
+std::size_t
+CdnaNic::drainRx(ContextId id, std::vector<RxDelivery> &out)
 {
-    return std::exchange(cxt(id).rxDeliveries, {});
+    std::vector<RxDelivery> &ready = cxt(id).rxDeliveries;
+    std::size_t n = ready.size();
+    out.insert(out.end(), std::make_move_iterator(ready.begin()),
+               std::make_move_iterator(ready.end()));
+    ready.clear();
+    return n;
 }
 
 nic::DescRing &

@@ -259,8 +259,11 @@ class CdnaNic : public nic::NicBase
     /** Host-visible RX consumer count. */
     std::uint32_t rxConsumer(ContextId cxt) const;
 
-    /** Guest driver pulls delivered frames for @p cxt. */
-    std::vector<RxDelivery> drainRx(ContextId cxt);
+    /**
+     * Guest driver pulls delivered frames for @p cxt, appending them to
+     * @p out; returns how many.  The NIC's buffer keeps its capacity.
+     */
+    std::size_t drainRx(ContextId cxt, std::vector<RxDelivery> &out);
 
     nic::DescRing &txRing(ContextId cxt);
     nic::DescRing &rxRing(ContextId cxt);
@@ -391,6 +394,17 @@ class CdnaNic : public nic::NicBase
     std::deque<ContextId> txArb_;
     bool txDataBusy_ = false;
     bool txWaitingBuffer_ = false;
+    /** The frame between payload fetch and the wire (one at a time). */
+    net::Packet txStaged_;
+
+    /** A received frame waiting for its firmware job and DMA write. */
+    struct RxStage
+    {
+        mem::SgList sg; //!< the part of the posted buffer it fills
+        net::Packet pkt;
+    };
+    std::vector<RxStage> rxStage_;
+    std::vector<std::uint32_t> rxStageFree_;
 
     std::optional<InterruptRing> intrRing_;
     std::uint32_t pendingVector_ = 0;

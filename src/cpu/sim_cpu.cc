@@ -13,14 +13,14 @@ Vcpu::Vcpu(SimCpu &cpu, mem::DomainId dom, std::string name, int weight)
 }
 
 void
-Vcpu::post(Bucket bucket, sim::Time cost, std::function<void()> done)
+Vcpu::post(Bucket bucket, sim::Time cost, sim::InplaceCallback done)
 {
     normalQ_.push_back(Task{bucket, cost, std::move(done)});
     cpu_.notifyWake(this, false);
 }
 
 void
-Vcpu::postIrq(Bucket bucket, sim::Time cost, std::function<void()> done)
+Vcpu::postIrq(Bucket bucket, sim::Time cost, sim::InplaceCallback done)
 {
     irqQ_.push_back(Task{bucket, cost, std::move(done)});
     cpu_.notifyWake(this, true);
@@ -48,7 +48,7 @@ SimCpu::createVcpu(mem::DomainId dom, std::string name, int weight)
 }
 
 void
-SimCpu::runHypervisor(sim::Time cost, std::function<void()> done)
+SimCpu::runHypervisor(sim::Time cost, sim::InplaceCallback done)
 {
     SIM_ASSERT(cost >= 0, "negative hypervisor cost");
     hvQ_.push_back(HvItem{cost, std::move(done)});
@@ -219,17 +219,15 @@ SimCpu::dispatch()
 
     // 1. Hypervisor work preempts all domains.
     if (!hvQ_.empty()) {
-        HvItem item = std::move(hvQ_.front());
+        sim::Time cost = hvQ_.front().cost;
+        running_ = std::move(hvQ_.front().done);
         hvQ_.pop_front();
         beginBusy();
         nHvItems_.inc();
-        CDNA_TRACE_SPAN(ctx().tracer(), hvLane_, "hv", now(), item.cost);
-        events().schedule(item.cost, [this, item = std::move(item)] {
-            profile_.chargeHypervisor(item.cost);
-            busy_ = false;
-            if (item.done)
-                item.done();
-            kick();
+        CDNA_TRACE_SPAN(ctx().tracer(), hvLane_, "hv", now(), cost);
+        events().schedule(cost, [this, cost] {
+            profile_.chargeHypervisor(cost);
+            finishRunning();
         });
         return;
     }
@@ -268,13 +266,15 @@ SimCpu::dispatch()
     current_ = v;
     SIM_ASSERT(!v->idle(), "picked vcpu with no tasks");
     auto &q = v->irqQ_.empty() ? v->normalQ_ : v->irqQ_;
-    Vcpu::Task task = std::move(q.front());
+    Bucket bucket = q.front().bucket;
+    sim::Time base = q.front().cost;
+    running_ = std::move(q.front().done);
     q.pop_front();
 
     v->lastRan_ = now();
     v->ranSinceSched_ = true;
     sim::Time cost = static_cast<sim::Time>(
-        static_cast<double>(task.cost) * contentionMultiplier());
+        static_cast<double>(base) * contentionMultiplier());
     if (surchargePending_) {
         cost += params_.cacheColdSurcharge;
         surchargePending_ = false;
@@ -283,16 +283,23 @@ SimCpu::dispatch()
     beginBusy();
     nTasks_.inc();
     CDNA_TRACE_SPAN(ctx().tracer(), v->traceLane_,
-                    task.bucket == Bucket::kOs ? "os" : "user", now(),
-                    cost);
-    events().schedule(cost, [this, v, cost,
-                             task = std::move(task)]() mutable {
-        profile_.chargeDomain(v->dom_, task.bucket, cost);
-        busy_ = false;
-        if (task.done)
-            task.done();
-        kick();
+                    bucket == Bucket::kOs ? "os" : "user", now(), cost);
+    events().schedule(cost, [this, v, cost, bucket] {
+        profile_.chargeDomain(v->dom_, bucket, cost);
+        finishRunning();
     });
+}
+
+void
+SimCpu::finishRunning()
+{
+    busy_ = false;
+    // Move the completion out first: it may post work, which re-enters
+    // dispatch() and puts the next item's completion in running_.
+    sim::InplaceCallback done = std::move(running_);
+    if (done)
+        done();
+    kick();
 }
 
 } // namespace cdna::cpu

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -81,12 +80,11 @@ class Vcpu
     Vcpu &operator=(const Vcpu &) = delete;
 
     /** Post process-context work (application / kernel thread). */
-    void post(Bucket bucket, sim::Time cost,
-              std::function<void()> done = {});
+    void post(Bucket bucket, sim::Time cost, sim::InplaceCallback done = {});
 
     /** Post interrupt-context work; wakes the vCPU with boost. */
     void postIrq(Bucket bucket, sim::Time cost,
-                 std::function<void()> done = {});
+                 sim::InplaceCallback done = {});
 
     mem::DomainId domain() const { return dom_; }
     const std::string &name() const { return name_; }
@@ -106,7 +104,7 @@ class Vcpu
     {
         Bucket bucket;
         sim::Time cost;
-        std::function<void()> done;
+        sim::InplaceCallback done;
     };
 
     enum class State { kBlocked, kRunnable, kRunning };
@@ -140,7 +138,7 @@ class SimCpu : public sim::SimObject
      * @param cost CPU time consumed
      * @param done invoked when the work completes
      */
-    void runHypervisor(sim::Time cost, std::function<void()> done = {});
+    void runHypervisor(sim::Time cost, sim::InplaceCallback done = {});
 
     /** Trace hypervisor spans on @p lane, the host's Hypervisor
      *  component's own lane ("hypervisor" until one attaches). */
@@ -172,7 +170,7 @@ class SimCpu : public sim::SimObject
     struct HvItem
     {
         sim::Time cost;
-        std::function<void()> done;
+        sim::InplaceCallback done;
     };
 
     /** A vCPU gained work; make it runnable and kick the CPU. */
@@ -180,6 +178,9 @@ class SimCpu : public sim::SimObject
 
     void kick();
     void dispatch();
+    /** The running item's time is up: run its completion, then the
+     *  next item. */
+    void finishRunning();
     void beginBusy();
     Vcpu *pickNext();
     void makeRunnable(Vcpu *v, bool boost);
@@ -192,6 +193,9 @@ class SimCpu : public sim::SimObject
     std::deque<HvItem> hvQ_;
     std::deque<Vcpu *> runnable_; //!< boosted at front, normal at back
     Vcpu *current_ = nullptr;
+    /** Completion of the task or hypervisor item on the CPU; it waits
+     *  here so the end-of-item event captures no callback. */
+    sim::InplaceCallback running_;
     Vcpu *lastRan_ = nullptr; //!< last domain to occupy the CPU
     bool busy_ = false;
     bool idling_ = true;

@@ -6,15 +6,6 @@
 
 namespace cdna::mem {
 
-std::uint64_t
-sgBytes(const SgList &sg)
-{
-    std::uint64_t n = 0;
-    for (const auto &e : sg)
-        n += e.len;
-    return n;
-}
-
 DmaEngine::DmaEngine(sim::SimContext &ctx, std::string name, PciBus &bus,
                      PhysMemory &mem, DeviceId dev, Iommu *iommu)
     : sim::SimObject(ctx, std::move(name)),
@@ -69,6 +60,15 @@ DmaEngine::doTransfer(const SgList &sg, DomainId behalf, ContextId cxt,
         }
         carried += e.len;
     }
+    std::uint32_t slot;
+    if (freePending_.empty()) {
+        slot = static_cast<std::uint32_t>(pending_.size());
+        pending_.push_back({result, std::move(cb)});
+    } else {
+        slot = freePending_.back();
+        freePending_.pop_back();
+        pending_[slot] = {result, std::move(cb)};
+    }
     // Fault injection: a delayed completion widens the window between a
     // descriptor being consumed and its pages being released, stressing
     // the protection layer's deferred-reallocation rule.
@@ -76,12 +76,24 @@ DmaEngine::doTransfer(const SgList &sg, DomainId behalf, ContextId cxt,
     if (sim::FaultInjector *fi = ctx().faultInjector(); fi && fi->dmaArmed())
         extra = fi->dmaDelay();
     if (extra > 0) {
-        bus_.transfer(carried, [this, cb = std::move(cb), result, extra] {
-            events().schedule(extra, [cb, result] { cb(result); });
+        bus_.transfer(carried, [this, slot, extra] {
+            events().schedule(extra, [this, slot] { complete(slot); });
         });
         return;
     }
-    bus_.transfer(carried, [cb = std::move(cb), result] { cb(result); });
+    bus_.transfer(carried, [this, slot] { complete(slot); });
+}
+
+void
+DmaEngine::complete(std::uint32_t slot)
+{
+    // Move out first: the callback may start further transfers, which
+    // can reuse the slot or grow the pool.
+    Pending &p = pending_[slot];
+    Callback cb = std::move(p.cb);
+    DmaResult result = p.result;
+    freePending_.push_back(slot);
+    cb(result);
 }
 
 } // namespace cdna::mem

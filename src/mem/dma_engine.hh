@@ -13,28 +13,16 @@
 #define CDNA_MEM_DMA_ENGINE_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "mem/iommu.hh"
 #include "mem/pci_bus.hh"
 #include "mem/phys_memory.hh"
+#include "mem/sg_list.hh"
+#include "sim/inplace_function.hh"
 #include "sim/sim_object.hh"
 
 namespace cdna::mem {
-
-/** One contiguous piece of a scatter/gather transfer. */
-struct SgEntry
-{
-    PhysAddr addr = 0;
-    std::uint32_t len = 0;
-};
-
-/** Scatter/gather list. */
-using SgList = std::vector<SgEntry>;
-
-/** Total byte count of a scatter/gather list. */
-std::uint64_t sgBytes(const SgList &sg);
 
 /** Outcome of a DMA operation. */
 struct DmaResult
@@ -46,7 +34,7 @@ struct DmaResult
 class DmaEngine : public sim::SimObject
 {
   public:
-    using Callback = std::function<void(DmaResult)>;
+    using Callback = sim::InplaceFunction<void(DmaResult)>;
 
     /**
      * @param ctx   simulation context
@@ -71,13 +59,25 @@ class DmaEngine : public sim::SimObject
     std::uint64_t bytesRead() const { return nReadBytes_.value(); }
 
   private:
+    /** A transfer on the bus: its verdict and completion wait here, and
+     *  the bus event captures only the slot index. */
+    struct Pending
+    {
+        DmaResult result;
+        Callback cb;
+    };
+
     void doTransfer(const SgList &sg, DomainId behalf, ContextId cxt,
                     bool write, Callback cb);
+    /** Run and free the completion parked in @p slot. */
+    void complete(std::uint32_t slot);
 
     PciBus &bus_;
     PhysMemory &mem_;
     DeviceId dev_;
     Iommu *iommu_;
+    std::vector<Pending> pending_;
+    std::vector<std::uint32_t> freePending_;
 
     sim::Counter &nReads_;
     sim::Counter &nWrites_;

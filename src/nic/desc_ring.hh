@@ -71,6 +71,8 @@ class DescRing
   private:
     mem::PhysAddr base_;
     std::vector<DmaDescriptor> slots_;
+    /** Payloads by slot; sized at the first attach, so receive rings
+     *  (which never carry one) hold none. */
     std::vector<std::optional<net::Packet>> packets_;
 };
 

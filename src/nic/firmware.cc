@@ -16,7 +16,7 @@ FirmwareProc::FirmwareProc(sim::SimContext &ctx, std::string name)
 }
 
 void
-FirmwareProc::exec(sim::Time cost, std::function<void()> fn)
+FirmwareProc::exec(sim::Time cost, sim::InplaceCallback fn)
 {
     SIM_ASSERT(cost >= 0, "negative firmware cost");
     nJobs_.inc();

@@ -15,7 +15,6 @@
 #define CDNA_NIC_FIRMWARE_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/sim_object.hh"
 
@@ -31,7 +30,7 @@ class FirmwareProc : public sim::SimObject
      * Execute a firmware job costing @p cost processor time; @p fn runs
      * at completion.  Jobs queue when the processor is busy.
      */
-    void exec(sim::Time cost, std::function<void()> fn);
+    void exec(sim::Time cost, sim::InplaceCallback fn);
 
     /** Completion time a job of @p cost would get if submitted now. */
     sim::Time estimate(sim::Time cost) const;

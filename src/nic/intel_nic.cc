@@ -119,30 +119,30 @@ IntelNic::pumpTx()
         pumpTx();
         return;
     }
-    net::Packet pkt = std::move(*pkt_opt);
-    if (!params_.tso && pkt.payloadBytes > net::kMss) {
+    if (!params_.tso && pkt_opt->payloadBytes > net::kMss) {
         SIM_PANIC("TSO segment submitted to non-TSO NIC");
     }
-    std::uint64_t bytes = pkt.payloadBytes;
+    std::uint64_t bytes = pkt_opt->payloadBytes;
     if (!txBuf_.tryReserve(bytes)) {
         // Out of NIC buffering; re-attach and retry when space frees.
-        txRing_->attachPacket(pos, std::move(pkt));
+        txRing_->attachPacket(pos, std::move(*pkt_opt));
         return;
     }
     txDataBusy_ = true;
     txPending_.pop_front();
+    // txDataBusy_ admits one frame in the payload fetch; it waits here.
+    txStaged_ = std::move(*pkt_opt);
 
     dma_.read(desc.sg, dmaDomain_, mem::kWholeDevice,
-              [this, pkt = std::move(pkt), bytes,
-               ep = txEpoch_](mem::DmaResult) mutable {
+              [this, bytes, ep = txEpoch_](mem::DmaResult) {
         if (ep != txEpoch_)
             return; // quiesced mid-read: the frame never reaches the wire
         txDataBusy_ = false;
         nTxPackets_.inc();
-        nTxPayload_.inc(pkt.payloadBytes);
+        nTxPayload_.inc(txStaged_.payloadBytes);
         sim::Time gap = params_.txInterFrameGap *
-                        static_cast<sim::Time>(pkt.wireFrames());
-        port_.send(std::move(pkt), gap, [this, bytes, ep] {
+                        static_cast<sim::Time>(txStaged_.wireFrames());
+        port_.send(std::move(txStaged_), gap, [this, bytes, ep] {
             if (ep != txEpoch_)
                 return; // quiesced while on the wire; state already reset
             txBuf_.release(bytes);
@@ -200,7 +200,6 @@ IntelNic::receiveFrame(net::Packet pkt)
         return;
     }
     std::uint32_t pos = rxUsed_++;
-    rxLanding_.emplace_back();
     const DmaDescriptor &desc = rxRing_->at(pos);
     // Prefetch more descriptors as the supply drains.
     if (rxFetched_ - rxUsed_ < params_.fetchBatch / 2)
@@ -219,21 +218,22 @@ IntelNic::receiveFrame(net::Packet pkt)
         left -= take;
     }
 
+    rxLanding_.push_back({std::move(pkt), false});
     dma_.write(wsg, dmaDomain_, mem::kWholeDevice,
-               [this, pos, bytes, pkt = std::move(pkt)]
-               (mem::DmaResult) mutable {
+               [this, pos, bytes](mem::DmaResult) {
         rxBuf_.release(bytes);
         nRxPackets_.inc();
-        nRxPayload_.inc(pkt.payloadBytes);
+        Landing &l = rxLanding_[pos - rxConsumer_];
+        nRxPayload_.inc(l.pkt.payloadBytes);
+        l.landed = true;
         // The consumer index tells the driver every slot before it is
         // filled, so a frame whose write lands early (an earlier
         // frame's DMA was delayed) waits for the ones before it.
-        rxLanding_[pos - rxConsumer_] = std::move(pkt);
         if (pos != rxConsumer_)
             return;
-        while (!rxLanding_.empty() && rxLanding_.front()) {
+        while (!rxLanding_.empty() && rxLanding_.front().landed) {
             rxReady_.push_back(
-                RxDelivery{rxConsumer_++, std::move(*rxLanding_.front())});
+                RxDelivery{rxConsumer_++, std::move(rxLanding_.front().pkt)});
             rxLanding_.pop_front();
         }
         scheduleConsumerWriteback();
@@ -241,10 +241,14 @@ IntelNic::receiveFrame(net::Packet pkt)
     });
 }
 
-std::vector<IntelNic::RxDelivery>
-IntelNic::drainRx()
+std::size_t
+IntelNic::drainRx(std::vector<RxDelivery> &out)
 {
-    return std::exchange(rxReady_, {});
+    std::size_t n = rxReady_.size();
+    out.insert(out.end(), std::make_move_iterator(rxReady_.begin()),
+               std::make_move_iterator(rxReady_.end()));
+    rxReady_.clear();
+    return n;
 }
 
 std::uint64_t

@@ -83,8 +83,12 @@ class IntelNic : public NicBase
      *  in ring order: slots before it all hold their frames. */
     std::uint32_t rxConsumer() const { return rxConsumer_; }
 
-    /** Driver pulls delivered frames (called from its IRQ handler). */
-    std::vector<RxDelivery> drainRx();
+    /**
+     * Driver pulls delivered frames (from its IRQ handler), appending
+     * them to @p out; returns how many.  The NIC's buffer keeps its
+     * capacity.
+     */
+    std::size_t drainRx(std::vector<RxDelivery> &out);
 
     /**
      * Quiesce the TX DMA engine (hypervisor killing the owning
@@ -130,6 +134,8 @@ class IntelNic : public NicBase
     std::uint32_t txConsumer_ = 0;  //!< transmitted
     bool txFetchBusy_ = false;
     bool txDataBusy_ = false;
+    /** The frame in the payload fetch (one at a time: txDataBusy_). */
+    net::Packet txStaged_;
     std::deque<std::uint32_t> txPending_;
     /** Bumped by quiesceTx(); stale TX continuations early-return. */
     std::uint64_t txEpoch_ = 0;
@@ -139,9 +145,14 @@ class IntelNic : public NicBase
     std::uint32_t rxFetched_ = 0;
     std::uint32_t rxUsed_ = 0;      //!< descriptors consumed by frames
     std::uint32_t rxConsumer_ = 0;  //!< deliveries completed to host
-    /** Frames from position rxConsumer_ on: empty while the DMA write
-     *  is in flight, the frame once it landed.  Published in order. */
-    std::deque<std::optional<net::Packet>> rxLanding_;
+    /** A frame whose DMA write is in flight (landed once it is done). */
+    struct Landing
+    {
+        net::Packet pkt;
+        bool landed = false;
+    };
+    /** Frames from position rxConsumer_ on, published in order. */
+    std::deque<Landing> rxLanding_;
     bool rxFetchBusy_ = false;
     std::vector<RxDelivery> rxReady_;
 

@@ -13,8 +13,10 @@
 #ifndef CDNA_NIC_NIC_BASE_HH
 #define CDNA_NIC_NIC_BASE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "mem/dma_engine.hh"
 #include "net/fabric.hh"
@@ -29,6 +31,43 @@ struct CoalesceParams
     sim::Time delay = sim::microseconds(70);
     /** Fire immediately once this many events are pending. */
     std::uint32_t eventThreshold = 64;
+};
+
+/**
+ * Received frames a driver has drained from its NIC, waiting for the
+ * driver tasks that handle them.  Each interrupt appends one batch
+ * (drainRx() into tail()) and posts one task; the tasks run in posting
+ * order, so each pops the next batch's frames from the front.  The
+ * buffer keeps its capacity, so steady-state draining never allocates,
+ * however many batches overlap.
+ */
+template <typename Delivery>
+class RxBatches
+{
+  public:
+    /** The buffer drainRx() appends the next batch to. */
+    std::vector<Delivery> &tail() { return items_; }
+
+    /** The oldest frame not yet handled. */
+    Delivery &pop() { return items_[head_++]; }
+
+    /** Drop handled frames (at the end of a batch's task). */
+    void
+    compact()
+    {
+        if (head_ == items_.size()) {
+            items_.clear();
+            head_ = 0;
+        } else if (2 * head_ >= items_.size()) {
+            items_.erase(items_.begin(),
+                         items_.begin() + static_cast<std::ptrdiff_t>(head_));
+            head_ = 0;
+        }
+    }
+
+  private:
+    std::vector<Delivery> items_;
+    std::size_t head_ = 0;
 };
 
 class NicBase : public sim::SimObject, public net::LinkEndpoint

@@ -82,15 +82,14 @@ NativeDriver::handleIrq()
     // claim it immediately so an overlapping IRQ cannot double-count.
     std::uint32_t completed = nic_.txConsumer() - txDrained_;
     txDrained_ += completed;
-    auto deliveries = nic_.drainRx();
+    auto received =
+        static_cast<std::uint32_t>(nic_.drainRx(rxBatches_.tail()));
 
     sim::Time cost = costs_.drvIrqHandler +
         completed * costs_.drvTxCompletion +
-        static_cast<sim::Time>(deliveries.size()) * costs_.drvRxPerPacket;
+        static_cast<sim::Time>(received) * costs_.drvRxPerPacket;
 
-    dom_.vcpu().post(cpu::Bucket::kOs, cost,
-                     [this, completed,
-                      deliveries = std::move(deliveries)]() mutable {
+    dom_.vcpu().post(cpu::Bucket::kOs, cost, [this, completed, received] {
         for (std::uint32_t i = 0; i < completed; ++i) {
             SIM_ASSERT(!txInflightBytes_.empty(), "completion underflow");
             std::uint64_t bytes = txInflightBytes_.front();
@@ -98,7 +97,8 @@ NativeDriver::handleIrq()
             deliverTxComplete(bytes);
         }
 
-        for (auto &d : deliveries) {
+        for (std::uint32_t i = 0; i < received; ++i) {
+            nic::IntelNic::RxDelivery &d = rxBatches_.pop();
             nRxPkts_.inc();
             std::uint32_t slot = d.pos % rxSlotPage_.size();
             mem::PageNum page = rxSlotPage_[slot];
@@ -112,6 +112,7 @@ NativeDriver::handleIrq()
             }
             deliverRx(std::move(d.pkt));
         }
+        rxBatches_.compact();
         flushRxProducer();
 
         // Pump any transmits that were waiting for ring space.

@@ -91,6 +91,7 @@ class NativeDriver : public sim::SimObject, public NetDevice
     // RX
     std::uint32_t rxProducer_ = 0;
     std::vector<mem::PageNum> rxSlotPage_;
+    nic::RxBatches<nic::IntelNic::RxDelivery> rxBatches_;
     bool autoRefill_ = true;
     bool rxPioPending_ = false;
 

@@ -20,11 +20,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <new>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "sim/inplace_function.hh"
 #include "sim/time.hh"
 
 namespace cdna::sim {
@@ -34,120 +33,6 @@ using EventId = std::uint64_t;
 
 /** Sentinel returned for operations that scheduled nothing. */
 inline constexpr EventId kInvalidEvent = 0;
-
-/**
- * Move-only callable of signature void() with inline storage.
- *
- * Callables up to kInlineSize bytes (every capture pattern in this
- * simulator: a few pointers and integers) are stored inside the event
- * node itself; larger ones fall back to a heap allocation.  This is the
- * drop-in replacement for the std::function the queue used to hold,
- * minus the per-schedule allocation.
- */
-class InplaceCallback
-{
-  public:
-    static constexpr std::size_t kInlineSize = 48;
-
-    InplaceCallback() = default;
-
-    template <typename F,
-              typename = std::enable_if_t<!std::is_same_v<
-                  std::decay_t<F>, InplaceCallback>>>
-    InplaceCallback(F &&f) // NOLINT: implicit like std::function
-    {
-        using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= kInlineSize &&
-                      alignof(Fn) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_move_constructible_v<Fn>) {
-            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
-            vt_ = inlineVtable<Fn>();
-        } else {
-            *reinterpret_cast<Fn **>(buf_) = new Fn(std::forward<F>(f));
-            vt_ = heapVtable<Fn>();
-        }
-    }
-
-    InplaceCallback(InplaceCallback &&o) noexcept { moveFrom(o); }
-
-    InplaceCallback &
-    operator=(InplaceCallback &&o) noexcept
-    {
-        if (this != &o) {
-            reset();
-            moveFrom(o);
-        }
-        return *this;
-    }
-
-    InplaceCallback(const InplaceCallback &) = delete;
-    InplaceCallback &operator=(const InplaceCallback &) = delete;
-
-    ~InplaceCallback() { reset(); }
-
-    explicit operator bool() const { return vt_ != nullptr; }
-
-    void operator()() { vt_->invoke(buf_); }
-
-    void
-    reset()
-    {
-        if (vt_) {
-            vt_->destroy(buf_);
-            vt_ = nullptr;
-        }
-    }
-
-  private:
-    struct VTable
-    {
-        void (*invoke)(void *);
-        void (*move)(void *dst, void *src) noexcept;
-        void (*destroy)(void *) noexcept;
-    };
-
-    template <typename Fn>
-    static const VTable *
-    inlineVtable()
-    {
-        static const VTable vt = {
-            [](void *p) { (*static_cast<Fn *>(p))(); },
-            [](void *dst, void *src) noexcept {
-                ::new (dst) Fn(std::move(*static_cast<Fn *>(src)));
-                static_cast<Fn *>(src)->~Fn();
-            },
-            [](void *p) noexcept { static_cast<Fn *>(p)->~Fn(); },
-        };
-        return &vt;
-    }
-
-    template <typename Fn>
-    static const VTable *
-    heapVtable()
-    {
-        static const VTable vt = {
-            [](void *p) { (**static_cast<Fn **>(p))(); },
-            [](void *dst, void *src) noexcept {
-                *static_cast<Fn **>(dst) = *static_cast<Fn **>(src);
-            },
-            [](void *p) noexcept { delete *static_cast<Fn **>(p); },
-        };
-        return &vt;
-    }
-
-    void
-    moveFrom(InplaceCallback &o) noexcept
-    {
-        vt_ = o.vt_;
-        if (vt_) {
-            vt_->move(buf_, o.buf_);
-            o.vt_ = nullptr;
-        }
-    }
-
-    alignas(std::max_align_t) unsigned char buf_[kInlineSize];
-    const VTable *vt_ = nullptr;
-};
 
 /**
  * Min-heap event queue ordered by (time, insertion sequence).

@@ -96,7 +96,7 @@ Hypervisor::deliverVirtIrq(EventChannel &ch)
 }
 
 void
-Hypervisor::physicalInterrupt(sim::Time isr_cost, std::function<void()> body)
+Hypervisor::physicalInterrupt(sim::Time isr_cost, sim::InplaceCallback body)
 {
     nPhysIrqs_.inc();
     CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), "phys_irq", now());
@@ -104,22 +104,15 @@ Hypervisor::physicalInterrupt(sim::Time isr_cost, std::function<void()> body)
 }
 
 void
-Hypervisor::hypercall(sim::Time cost, std::function<void()> body,
-                      std::function<void()> done)
+Hypervisor::hypercall(sim::Time cost, sim::InplaceCallback body)
 {
     nHypercalls_.inc();
     CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), "hypercall", now());
-    cpu_.runHypervisor(params_.hypercallOverhead + cost,
-                       [body = std::move(body), done = std::move(done)] {
-                           if (body)
-                               body();
-                           if (done)
-                               done();
-                       });
+    cpu_.runHypervisor(params_.hypercallOverhead + cost, std::move(body));
 }
 
 void
-Hypervisor::contextTrap(sim::Time cost, std::function<void()> body)
+Hypervisor::contextTrap(sim::Time cost, sim::InplaceCallback body)
 {
     nCxtTraps_.inc();
     CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), "cxt_trap", now());

@@ -97,21 +97,20 @@ class Hypervisor : public sim::SimObject
      * @param isr_cost additional ISR body cost beyond the dispatch cost
      * @param body     decode work executed in hypervisor context
      */
-    void physicalInterrupt(sim::Time isr_cost, std::function<void()> body);
+    void physicalInterrupt(sim::Time isr_cost, sim::InplaceCallback body);
 
     /**
      * Execute a hypercall from a domain: charges overhead + @p cost in
-     * hypervisor context, runs @p body, then @p done.
+     * hypervisor context, then runs @p body.
      */
-    void hypercall(sim::Time cost, std::function<void()> body,
-                   std::function<void()> done = {});
+    void hypercall(sim::Time cost, sim::InplaceCallback body);
 
     /**
      * Virtual-context page trap (oversubscribed CDNA): a doorbell to a
      * paged-out context lands here.  Charges @p cost in hypervisor
      * context, then runs @p body (the context pager's switch logic).
      */
-    void contextTrap(sim::Time cost, std::function<void()> body);
+    void contextTrap(sim::Time cost, sim::InplaceCallback body);
 
     cpu::SimCpu &cpu() { return cpu_; }
     mem::PhysMemory &mem() { return mem_; }

@@ -290,7 +290,8 @@ SwptValidator::handleIrq()
         return; // validator software is down; state drains at restart
     std::uint32_t completed = nic_.txConsumer() - txDrained_;
     txDrained_ += completed;
-    auto deliveries = nic_.drainRx();
+    std::vector<nic::IntelNic::RxDelivery> &rx = rxBatches_.tail();
+    auto received = static_cast<std::uint32_t>(nic_.drainRx(rx));
 
     // Cost of the hypervisor-side bottom half: lazy unpin of completed
     // descriptors, demux decision + copy for each received frame.
@@ -299,15 +300,13 @@ SwptValidator::handleIrq()
         unpin_pages += pagesSpanned(inflight_[i].sg);
     sim::Time cost =
         static_cast<sim::Time>(unpin_pages) * costs_.protUnpinPerPage;
-    for (const auto &d : deliveries)
+    for (std::size_t i = rx.size() - received; i < rx.size(); ++i)
         cost += costs_.bridgePerPacket +
             static_cast<sim::Time>(costs_.swptRxCopyPerByteNs *
-                                   static_cast<double>(d.pkt.payloadBytes) *
+                                   static_cast<double>(rx[i].pkt.payloadBytes) *
                                    sim::kNanosecond);
 
-    hv_.cpu().runHypervisor(cost,
-                            [this, completed,
-                             deliveries = std::move(deliveries)]() mutable {
+    hv_.cpu().runHypervisor(cost, [this, completed, received] {
         std::vector<char> notify(guests_.size(), 0);
 
         for (std::uint32_t i = 0; i < completed; ++i) {
@@ -323,7 +322,8 @@ SwptValidator::handleIrq()
             }
         }
 
-        for (auto &d : deliveries) {
+        for (std::uint32_t i = 0; i < received; ++i) {
+            nic::IntelNic::RxDelivery &d = rxBatches_.pop();
             // Recycle the hypervisor-owned buffer this frame landed in.
             std::uint32_t slot = d.pos % rxSlotPage_.size();
             postOwnRxBuffer(rxSlotPage_[slot]);
@@ -353,6 +353,7 @@ SwptValidator::handleIrq()
             dst->rxMail.push_back(std::move(d.pkt));
             notify[dst_id] = true;
         }
+        rxBatches_.compact();
         nic_.pioWriteRxProducer(rxProducer_);
 
         for (GuestId g = 0; g < guests_.size(); ++g)

@@ -173,6 +173,7 @@ class SwptValidator : public sim::SimObject
     std::uint32_t txDrained_ = 0;
     std::uint32_t rxProducer_ = 0;
     std::vector<mem::PageNum> rxSlotPage_;
+    nic::RxBatches<nic::IntelNic::RxDelivery> rxBatches_;
 
     sim::Time validationTime_ = 0;
 

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "mem/dma_engine.hh"
 #include "mem/grant_table.hh"
 #include "mem/iommu.hh"
@@ -239,6 +242,151 @@ TEST_F(DmaFixture, SgBytesSums)
 {
     SgList sg{{0, 100}, {4096, 50}};
     EXPECT_EQ(sgBytes(sg), 150u);
+}
+
+// -------------------------------------------------------------- sg list ----
+
+TEST(SgList, TwoEntriesStayInlineAndTheThirdGoesToTheHeap)
+{
+    SgList sg;
+    EXPECT_TRUE(sg.empty());
+    EXPECT_TRUE(sg.isInline());
+    sg.push_back({0x1000, 100});
+    EXPECT_TRUE(sg.isInline());
+    // A 1,460-byte payload crossing a page boundary: two entries.
+    sg.push_back({0x2000, 1360});
+    EXPECT_TRUE(sg.isInline());
+    sg.push_back({0x3000, 7});
+    EXPECT_FALSE(sg.isInline());
+    ASSERT_EQ(sg.size(), 3u);
+    EXPECT_EQ(sg[0].addr, 0x1000u);
+    EXPECT_EQ(sg[1].len, 1360u);
+    EXPECT_EQ(sg[2].addr, 0x3000u);
+    EXPECT_EQ(sgBytes(sg), 1467u);
+    sg.clear();
+    EXPECT_TRUE(sg.empty());
+}
+
+TEST(SgList, CopyMoveAndSelfAssignKeepEntries)
+{
+    auto expect = [](const SgList &sg, std::size_t n) {
+        ASSERT_EQ(sg.size(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(sg[i].addr, addrOf(i + 1)) << i;
+            EXPECT_EQ(sg[i].len, i + 1) << i;
+        }
+    };
+    for (std::size_t n : {1u, 2u, 5u}) {
+        SgList src;
+        for (std::size_t i = 0; i < n; ++i)
+            src.push_back({addrOf(i + 1), static_cast<std::uint32_t>(i + 1)});
+
+        SgList copy = src;
+        expect(copy, n);
+        expect(src, n);
+
+        SgList assigned{{0x9000, 9}, {0xA000, 9}, {0xB000, 9}};
+        assigned = src;
+        expect(assigned, n);
+
+        SgList &alias = assigned;
+        assigned = alias;
+        expect(assigned, n);
+
+        SgList moved = std::move(copy);
+        expect(moved, n);
+        EXPECT_TRUE(copy.empty());
+
+        SgList target{{0x9000, 9}};
+        target = std::move(moved);
+        expect(target, n);
+        EXPECT_TRUE(moved.empty());
+
+        target = std::move(alias);
+        expect(target, n);
+    }
+}
+
+TEST(SgList, TsoSegmentListOf17Pages)
+{
+    // A 64 KiB TSO segment starting mid-page spans 17 pages.
+    SgList sg;
+    std::uint32_t left = 65536;
+    PhysAddr addr = addrOf(10) + 100;
+    while (left > 0) {
+        auto chunk = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(left, kPageSize - addr % kPageSize));
+        sg.push_back({addr, chunk});
+        addr += chunk;
+        left -= chunk;
+    }
+    ASSERT_EQ(sg.size(), 17u);
+    EXPECT_FALSE(sg.isInline());
+    EXPECT_EQ(sgBytes(sg), 65536u);
+    SgList copy = sg;
+    EXPECT_EQ(sgBytes(copy), 65536u);
+    EXPECT_EQ(copy[16].addr, sg[16].addr);
+}
+
+// ---------------------------------------------------------- dma callback ----
+
+TEST(DmaCallback, PassesTheResultThrough)
+{
+    DmaEngine::Callback cb;
+    EXPECT_FALSE(cb);
+    DmaResult got;
+    cb = [&got](DmaResult r) { got = r; };
+    ASSERT_TRUE(cb);
+    cb(DmaResult{false, 3});
+    EXPECT_FALSE(got.safe);
+    EXPECT_EQ(got.blockedPages, 3u);
+}
+
+TEST(DmaCallback, MoveOnlyCaptureWorks)
+{
+    auto owned = std::make_unique<int>(41);
+    DmaEngine::Callback cb = [p = std::move(owned)](DmaResult r) {
+        *p += static_cast<int>(r.blockedPages);
+        EXPECT_EQ(*p, 42);
+    };
+    DmaEngine::Callback moved = std::move(cb);
+    EXPECT_FALSE(cb);
+    moved(DmaResult{true, 1});
+}
+
+TEST(DmaCallback, OversizedClosureTakesTheHeapAndIsDestroyedOnce)
+{
+    struct Tracked
+    {
+        int *destroyed;
+        bool live = true;
+        explicit Tracked(int *d) : destroyed(d) {}
+        Tracked(Tracked &&o) noexcept : destroyed(o.destroyed)
+        {
+            o.live = false;
+        }
+        ~Tracked()
+        {
+            if (live)
+                ++*destroyed;
+        }
+    };
+    int destroyed = 0;
+    std::uint32_t sum = 0;
+    {
+        char pad[64] = {};
+        pad[63] = 5;
+        auto big = [t = Tracked(&destroyed), pad, &sum](DmaResult r) {
+            sum += r.blockedPages + static_cast<std::uint32_t>(pad[63]);
+        };
+        static_assert(!DmaEngine::Callback::fitsInline<decltype(big)>());
+        DmaEngine::Callback cb = std::move(big);
+        DmaEngine::Callback moved = std::move(cb);
+        moved(DmaResult{true, 2});
+        EXPECT_EQ(sum, 7u);
+        EXPECT_EQ(destroyed, 0);
+    }
+    EXPECT_EQ(destroyed, 1);
 }
 
 TEST_F(DmaFixture, ReadTouchesEveryPage)

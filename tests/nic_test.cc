@@ -291,7 +291,8 @@ TEST(IntelNic, ReceiveIntoPostedBuffers)
     h.ctx.events().run();
 
     EXPECT_EQ(h.nic.rxPackets(), 2u);
-    auto got = h.nic.drainRx();
+    std::vector<IntelNic::RxDelivery> got;
+    h.nic.drainRx(got);
     ASSERT_EQ(got.size(), 2u);
     EXPECT_EQ(got[0].pos, 0u);
     EXPECT_EQ(got[1].pos, 1u);

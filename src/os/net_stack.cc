@@ -110,19 +110,20 @@ NetStack::sendBurst(std::uint64_t bytes, std::uint64_t flow_id,
         sendBurstTcp(bytes, flow_id, pages);
         return;
     }
-    auto pkts = std::make_shared<std::vector<net::Packet>>();
-    buildPackets(bytes, flow_id, pages, pkts.get());
+    std::vector<net::Packet> pkts;
+    buildPackets(bytes, flow_id, pages, &pkts);
 
     sim::Time cost =
-        static_cast<sim::Time>(pkts->size()) * costs_.stackTxPerPacket +
+        static_cast<sim::Time>(pkts.size()) * costs_.stackTxPerPacket +
         static_cast<sim::Time>(costs_.stackTxPerByteNs *
                                static_cast<double>(bytes) * sim::kNanosecond);
 
     CDNA_TRACE_INSTANT_ARG(ctx().tracer(), traceLane(), "tx_burst", now(),
                            "bytes", bytes);
-    dom_.vcpu().post(cpu::Bucket::kOs, cost, [this, pkts, bytes] {
+    dom_.vcpu().post(cpu::Bucket::kOs, cost,
+                     [this, pkts = std::move(pkts), bytes]() mutable {
         nTxBytes_.inc(bytes);
-        for (auto &p : *pkts)
+        for (auto &p : pkts)
             txBacklog_.push_back(std::move(p));
         pushToDevice();
     });
@@ -449,9 +450,9 @@ NetStack::sendRpcResponse(const net::Packet &req)
             (net::kMaxTsoBytes + mem::kPageSize - 1) / mem::kPageSize;
         rpcBuf_ = dom_.hypervisor().mem().alloc(dom_.id(), pages);
     }
-    auto pkts = std::make_shared<std::vector<net::Packet>>();
-    buildPackets(bytes, req.rpcId, rpcBuf_, pkts.get());
-    for (auto &p : *pkts) {
+    std::vector<net::Packet> pkts;
+    buildPackets(bytes, req.rpcId, rpcBuf_, &pkts);
+    for (auto &p : pkts) {
         p.dst = req.src;
         p.rpcResp = true;
         p.rpcId = req.rpcId;
@@ -459,17 +460,18 @@ NetStack::sendRpcResponse(const net::Packet &req)
     }
 
     sim::Time cost =
-        static_cast<sim::Time>(pkts->size()) * costs_.stackTxPerPacket +
+        static_cast<sim::Time>(pkts.size()) * costs_.stackTxPerPacket +
         static_cast<sim::Time>(costs_.stackTxPerByteNs *
                                static_cast<double>(bytes) * sim::kNanosecond);
     CDNA_TRACE_INSTANT_ARG(ctx().tracer(), traceLane(), "rpc_response",
                            now(), "bytes", bytes);
-    dom_.vcpu().post(cpu::Bucket::kOs, cost, [this, pkts, bytes] {
+    dom_.vcpu().post(cpu::Bucket::kOs, cost,
+                     [this, pkts = std::move(pkts), bytes]() mutable {
         if (dead_)
             return;
         nTxBytes_.inc(bytes);
         rpcTxPending_ += bytes;
-        for (auto &p : *pkts)
+        for (auto &p : pkts)
             txBacklog_.push_back(std::move(p));
         pushToDevice();
     });

@@ -29,6 +29,9 @@ class InplaceFunction<R(Args...)>
 {
   public:
     static constexpr std::size_t kInlineSize = 48;
+    /** Pointer alignment keeps the whole object at 56 bytes (one event
+     *  node fits a cache line); a capture needing more takes the heap. */
+    static constexpr std::size_t kInlineAlign = alignof(void *);
 
     InplaceFunction() = default;
 
@@ -88,7 +91,7 @@ class InplaceFunction<R(Args...)>
     fitsInline()
     {
         return sizeof(Fn) <= kInlineSize &&
-               alignof(Fn) <= alignof(std::max_align_t) &&
+               alignof(Fn) <= kInlineAlign &&
                std::is_nothrow_move_constructible_v<Fn>;
     }
 
@@ -143,7 +146,7 @@ class InplaceFunction<R(Args...)>
         }
     }
 
-    alignas(std::max_align_t) unsigned char buf_[kInlineSize];
+    alignas(kInlineAlign) unsigned char buf_[kInlineSize];
     const VTable *vt_ = nullptr;
 };
 
